@@ -2,12 +2,10 @@
 //! coders' raw symbol rates (the §7.5 decoding-overhead microbenchmarks).
 //!
 //! The `entropy_coding` group pits the 4-lane interleaved rANS coder
-//! (`cachegen_codec::rans`, the wire-v3 hot path) against the serial
-//! byte-renormalizing range coder (`cachegen_codec::rc`, wire v2) and the
-//! legacy bit-at-a-time WNC coder (`cachegen_codec::ac`, compatibility
-//! shim) on identical symbol streams — the `wnc_*` rows are the
-//! pre-chunking baseline, the `range_*` rows the v2 baseline the rANS
-//! ≥2× decode win is measured against. The
+//! (`cachegen_codec::rans`, the codec's entropy coder) against the serial
+//! byte-renormalizing range coder (`cachegen_bench::rc`, a bench-only
+//! reference) on identical symbol streams — the `range_*` rows are the
+//! baseline the `ratchet` binary holds rANS decode to. The
 //! `kv_codec` group exercises the end-to-end path, where `decode_parallel`
 //! fans out per (layer, token-group) chunk: with 200 tokens at group size
 //! 10 there are 20 groups per layer, so the work-item count (2 × layers ×
@@ -18,9 +16,9 @@
 //! end-to-end codec times in ms, and the parallel decoder's pool shape
 //! from one traced run) so CI can archive the perf trajectory.
 
+use cachegen_bench::rc;
 use cachegen_codec::rans::{self, AliasTable};
 use cachegen_codec::symbol_model::FreqTable;
-use cachegen_codec::{ac, rc};
 use cachegen_codec::{CodecConfig, CodecProfile, KvCodec};
 use cachegen_llm::{SimModelConfig, SimTransformer};
 use cachegen_telemetry::{workspace_root, JsonValue, Recorder};
@@ -30,13 +28,10 @@ fn bench_entropy_coders(c: &mut Criterion) {
     let table = FreqTable::from_counts(&vec![10u32; 256]);
     let symbols: Vec<usize> = (0..100_000).map(|i| (i * 31) % 256).collect();
     let mut rc_enc = rc::Encoder::new();
-    let mut ac_enc = ac::Encoder::new();
     for &s in &symbols {
         rc_enc.encode(&table, s);
-        ac_enc.encode(&table, s);
     }
     let rc_bytes = rc_enc.finish();
-    let ac_bytes = ac_enc.finish();
 
     let mut g = c.benchmark_group("entropy_coding");
     g.throughput(Throughput::Elements(symbols.len() as u64));
@@ -59,7 +54,7 @@ fn bench_entropy_coders(c: &mut Criterion) {
             acc
         })
     });
-    // Interleaved-rANS rows: the wire-v3 coder, measured on the same
+    // Interleaved-rANS rows: the codec's coder, measured on the same
     // stream with the round-robin lane schedule the codec uses
     // (lane = position % LANES).
     let alias = AliasTable::from_freq(&table);
@@ -87,27 +82,6 @@ fn bench_entropy_coders(c: &mut Criterion) {
             acc
         })
     });
-    // Legacy WNC rows: the pre-chunking baseline the ≥3× win is measured
-    // against.
-    g.bench_function("wnc_encode_100k_symbols", |b| {
-        b.iter(|| {
-            let mut enc = ac::Encoder::new();
-            for &s in &symbols {
-                enc.encode(&table, s);
-            }
-            enc.finish()
-        })
-    });
-    g.bench_function("wnc_decode_100k_symbols", |b| {
-        b.iter(|| {
-            let mut dec = ac::Decoder::new(&ac_bytes);
-            let mut acc = 0usize;
-            for _ in 0..symbols.len() {
-                acc ^= dec.decode(&table);
-            }
-            acc
-        })
-    });
     g.finish();
 }
 
@@ -119,15 +93,11 @@ fn bench_kv_codec(c: &mut Criterion) {
     let profile = CodecProfile::build(&cfg, &[&cache]);
     let codec = KvCodec::new(cfg, profile);
     let enc = codec.encode(&cache);
-    let enc_v2 = codec.encode_v2(&cache);
 
     let mut g = c.benchmark_group("kv_codec");
     g.throughput(Throughput::Elements(cache.num_elements() as u64));
     g.bench_function("encode", |b| b.iter(|| codec.encode(&cache)));
     g.bench_function("decode_serial", |b| b.iter(|| codec.decode(&enc)));
-    // Wire-v2 (serial range coder) baseline: the same cache through the
-    // compatibility encoder, so the v3 speedup is readable from one run.
-    g.bench_function("decode_serial_v2", |b| b.iter(|| codec.decode(&enc_v2)));
     g.bench_function("decode_parallel", |b| {
         b.iter(|| codec.decode_parallel(&enc))
     });
@@ -210,18 +180,10 @@ fn main() {
             "rans_lanes".to_string(),
             JsonValue::Number(rans::LANES as f64),
         ),
-        (
-            "wnc_decode_melem_per_s".to_string(),
-            melem("entropy_coding/wnc_decode_100k_symbols"),
-        ),
         ("kv_encode_ms".to_string(), ms("kv_codec/encode")),
         (
             "kv_decode_serial_ms".to_string(),
             ms("kv_codec/decode_serial"),
-        ),
-        (
-            "kv_decode_serial_v2_ms".to_string(),
-            ms("kv_codec/decode_serial_v2"),
         ),
         (
             "kv_decode_parallel_ms".to_string(),

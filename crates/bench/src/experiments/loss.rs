@@ -258,14 +258,14 @@ pub fn loss_sweep() {
             name: "rs2+interp",
             repair: RepairPolicy::AnchorInterpolate,
             budget: 0,
-            fec: FecOverhead::Rs { k: 12, r: 2 },
+            fec: FecOverhead::Fixed { k: 12, r: 2 },
             effectiveness: 0.65,
         },
         Arm {
             name: "rs2+refetch",
             repair: RepairPolicy::Refetch,
             budget: 0,
-            fec: FecOverhead::Rs { k: 12, r: 2 },
+            fec: FecOverhead::Fixed { k: 12, r: 2 },
             effectiveness: 1.0,
         },
         Arm {
@@ -344,7 +344,7 @@ pub fn loss_sweep() {
     let burst_arms = [
         ("refetch", FecOverhead::Off),
         ("fec+refetch", FecOverhead::paper_default()),
-        ("rs2+refetch", FecOverhead::Rs { k: 12, r: 2 }),
+        ("rs2+refetch", FecOverhead::Fixed { k: 12, r: 2 }),
         ("adapt+refetch", FecOverhead::adaptive_default()),
     ];
     for (name, fec) in &burst_arms {
@@ -437,8 +437,8 @@ pub(crate) struct RsFrontier {
     pub xor_burst_holes: usize,
     /// Σ parity-recovered packets over the seed population (both fault
     /// models), per arm.
-    pub rs_recovered: usize,
-    pub xor_recovered: usize,
+    pub rs_fec_recovered: usize,
+    pub xor_fec_recovered: usize,
 }
 
 /// Seeds aggregated by the RS-vs-XOR residual comparison.
@@ -448,7 +448,7 @@ pub(crate) fn rs_frontier_at_20(
     engine: &CacheGenEngine,
     reference: &cachegen_llm::KvCache,
 ) -> RsFrontier {
-    let rs_cfg = FecOverhead::Rs { k: 12, r: 2 };
+    let rs_cfg = FecOverhead::Fixed { k: 12, r: 2 };
     let xor_cfg = FecOverhead::paper_default();
     let iid = PacketFaults {
         loss: 0.20,
@@ -463,20 +463,20 @@ pub(crate) fn rs_frontier_at_20(
     };
     let (mut rs_holes, mut xor_holes) = (0, 0);
     let (mut rs_burst_holes, mut xor_burst_holes) = (0, 0);
-    let (mut rs_recovered, mut xor_recovered) = (0, 0);
+    let (mut rs_fec_recovered, mut xor_fec_recovered) = (0, 0);
     for seed in SEED..SEED + RS_FRONTIER_SEEDS {
         for (cfg, holes, bholes, recovered) in [
             (
                 &rs_cfg,
                 &mut rs_holes,
                 &mut rs_burst_holes,
-                &mut rs_recovered,
+                &mut rs_fec_recovered,
             ),
             (
                 &xor_cfg,
                 &mut xor_holes,
                 &mut xor_burst_holes,
-                &mut xor_recovered,
+                &mut xor_fec_recovered,
             ),
         ] {
             let cell = |faults: PacketFaults| {
@@ -525,8 +525,8 @@ pub(crate) fn rs_frontier_at_20(
         xor_holes,
         rs_burst_holes,
         xor_burst_holes,
-        rs_recovered,
-        xor_recovered,
+        rs_fec_recovered,
+        xor_fec_recovered,
     }
 }
 
@@ -616,9 +616,9 @@ pub fn loss_sweep_fast() {
         100.0 * rs_overhead,
         RS_FRONTIER_SEEDS,
         rf.rs_holes + rf.rs_burst_holes,
-        rf.rs_recovered,
+        rf.rs_fec_recovered,
         rf.xor_holes + rf.xor_burst_holes,
-        rf.xor_recovered,
+        rf.xor_fec_recovered,
     );
     // TTFT holds within 1.2x of the arm's own lossless pace at ≤ 20%
     // parity overhead, with zero retransmits and a bit-exact final cache
@@ -638,7 +638,7 @@ pub fn loss_sweep_fast() {
         "RS ladder must end bit-exact under i.i.d. and burst loss"
     );
     assert!(
-        rf.rs_recovered > 0,
+        rf.rs_fec_recovered > 0,
         "20% loss must exercise multi-erasure recovery"
     );
     // Multi-erasure parity strictly shrinks the residual repair surface

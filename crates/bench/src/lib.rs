@@ -13,5 +13,6 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod rc;
 
 pub use harness::{Bench, QualityReport};

@@ -1,44 +1,46 @@
-//! Byte-renormalizing range coder — the codec hot path.
+//! Byte-renormalizing serial range coder: the benchmark's reference
+//! entropy coder.
 //!
-//! This replaces the bit-at-a-time Witten–Neal–Cleary coder ([`crate::ac`],
-//! kept as a compatibility shim) on the encode/decode hot path. It is a
-//! carry-less range coder in the Subbotin style, with 64-bit state and
-//! whole-byte output:
+//! The codec ships one entropy coder, the four-lane interleaved rANS of
+//! [`cachegen_codec::rans`]. This module keeps the serial range coder it
+//! replaced as a measuring stick only: the `entropy_coding` bench group
+//! decodes the same symbol stream through both, and the `ratchet` binary
+//! fails CI when rANS decode drops below the pinned multiple of this
+//! coder's rate. Nothing on a wire path uses it.
+//!
+//! It is a carry-less range coder in the Subbotin style, with 64-bit
+//! state and whole-byte output:
 //!
 //! * the coder state is a `(low, range)` window over the full 64-bit
 //!   integer line; symbols narrow the window proportionally to their
 //!   frequency (`range / total` per-symbol scaling);
 //! * renormalization emits the **top byte** of `low` whenever it is settled
 //!   (the window no longer straddles a top-byte boundary), shifting state
-//!   left by 8 bits — eight symbols' worth of the old coder's bit loop in
-//!   one step, with no per-bit branching and no pending-bit bookkeeping;
+//!   left by 8 bits, with no per-bit branching and no pending-bit
+//!   bookkeeping;
 //! * carries cannot occur: when the window straddles a boundary and has
-//!   shrunk below [`BOT`], the range is clamped to the boundary distance
+//!   shrunk below `BOT`, the range is clamped to the boundary distance
 //!   (losing < 1 bit of code space) so emitted bytes are final.
 //!
-//! Frequency totals are exactly [`crate::symbol_model::MAX_TOTAL`] (2²⁴)
-//! by construction, so the per-symbol `range / total` is a plain shift and
-//! `range / total ≥ 2²⁴` after renormalization (`range ≥ 2⁴⁸` between
-//! symbols).
+//! Frequency totals are exactly [`MAX_TOTAL`] (2²⁴) by construction, so
+//! the per-symbol `range / total` is a plain shift and `range / total ≥
+//! 2²⁴` after renormalization (`range ≥ 2⁴⁸` between symbols).
 //!
-//! Unlike the bit reader under the old coder, the [`Decoder`] accounts for
-//! consumed bytes **exactly**: an encoder's output is always the renorm
-//! bytes plus 8 flush bytes, and a decoder driven with the same table
-//! sequence consumes exactly that many (8 up front, the renorm bytes as
-//! it goes).
-//! [`Decoder::bytes_consumed`] never counts synthetic past-end zeros;
-//! those are tallied separately in [`Decoder::overrun_bytes`], so chunked
-//! containers can verify that a chunk decoded cleanly out of its own
-//! bytes and nothing else.
+//! The [`Decoder`] accounts for consumed bytes **exactly**: an encoder's
+//! output is always the renorm bytes plus 8 flush bytes, and a decoder
+//! driven with the same table sequence consumes exactly that many (8 up
+//! front, the renorm bytes as it goes). [`Decoder::bytes_consumed`] never
+//! counts synthetic past-end zeros; those are tallied separately in
+//! [`Decoder::overrun_bytes`].
 
-use crate::symbol_model::{FreqTable, MAX_TOTAL, TOTAL_BITS};
+use cachegen_codec::symbol_model::{FreqTable, MAX_TOTAL, TOTAL_BITS};
 
 /// Renormalization threshold: the top byte of `low` is settled once the
 /// window fits under this boundary spacing.
 const TOP: u64 = 1 << 56;
 /// Minimum inter-symbol range. `range ≥ BOT` is restored by
 /// renormalization, so per-symbol scaling keeps ≥ 24 bits of headroom over
-/// [`crate::symbol_model::MAX_TOTAL`].
+/// [`MAX_TOTAL`].
 const BOT: u64 = 1 << 48;
 /// Bytes emitted by [`Encoder::finish`] to pin down the final interval
 /// (and read up-front by [`Decoder::new`]).
@@ -217,7 +219,7 @@ impl<'a> Decoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol_model::FreqTable;
+    use cachegen_codec::rans::{self, AliasTable, LANES, STATE_BYTES};
     use rand::Rng;
 
     fn round_trip(symbols: &[usize], table: &FreqTable) -> Vec<usize> {
@@ -331,7 +333,7 @@ mod tests {
             .map(|i| if i % 2 == 0 { u32::MAX / 64 } else { 0 })
             .collect();
         let table = FreqTable::from_counts(&counts);
-        assert!(table.total() <= crate::symbol_model::MAX_TOTAL);
+        assert!(table.total() <= MAX_TOTAL);
         let symbols: Vec<usize> = (0..4_000).map(|i| (i * 2) % 256).collect();
         assert_eq!(round_trip(&symbols, &table), symbols);
     }
@@ -355,24 +357,51 @@ mod tests {
     }
 
     #[test]
-    fn matches_wnc_coder_losslessness_on_same_tables() {
-        // The shim coder and the range coder agree on decoded symbols (not
-        // on bytes — different algorithms), so either can verify the other.
-        let table = FreqTable::from_counts(&[500, 30, 9, 2, 1]);
+    fn matches_range_coder_losslessness_on_same_tables() {
+        // Same symbols through the range coder (cumulative layout) and
+        // rANS (alias layout): different bytes, identical decoded
+        // sequences.
+        let freq = FreqTable::from_counts(&[500, 30, 9, 2, 1]);
+        let table = AliasTable::from_freq(&freq);
         let symbols: Vec<usize> = (0..3_000).map(|i| (i * i) % 5).collect();
         let mut rc_enc = Encoder::new();
-        let mut ac_enc = crate::ac::Encoder::new();
-        for &s in &symbols {
-            rc_enc.encode(&table, s);
-            ac_enc.encode(&table, s);
+        let mut rans_enc = rans::Encoder::new();
+        for (i, &s) in symbols.iter().enumerate() {
+            rc_enc.encode(&freq, s);
+            rans_enc.encode(i % LANES, &table, s);
         }
         let rc_bytes = rc_enc.finish();
-        let ac_bytes = ac_enc.finish();
+        let rans_bytes = rans_enc.finish();
         let mut rc_dec = Decoder::new(&rc_bytes);
-        let mut ac_dec = crate::ac::Decoder::new(&ac_bytes);
-        for &s in &symbols {
-            assert_eq!(rc_dec.decode(&table), s);
-            assert_eq!(ac_dec.decode(&table), s);
+        let mut rans_dec = rans::Decoder::new(&rans_bytes);
+        for (i, &s) in symbols.iter().enumerate() {
+            assert_eq!(rc_dec.decode(&freq), s);
+            assert_eq!(rans_dec.decode(i % LANES, &table), s);
         }
+        assert!(rans_dec.finished());
+    }
+
+    #[test]
+    fn compression_is_close_to_the_range_coder() {
+        // rANS coding efficiency must not regress past its fixed 32-byte
+        // state header: compare payload sizes on a skewed stream.
+        let freq = FreqTable::from_counts(&[900, 50, 25, 12, 6, 3, 2, 1]);
+        let table = AliasTable::from_freq(&freq);
+        let mut rng = cachegen_tensor::rng::seeded(5);
+        let symbols: Vec<usize> = (0..20_000)
+            .map(|_| (rng.gen::<u32>() % 8) as usize)
+            .collect();
+        let mut rc_enc = Encoder::new();
+        let mut rans_enc = rans::Encoder::new();
+        for (i, &s) in symbols.iter().enumerate() {
+            rc_enc.encode(&freq, s);
+            rans_enc.encode(i % LANES, &table, s);
+        }
+        let rc_len = rc_enc.finish().len() as f64;
+        let rans_len = rans_enc.finish().len() as f64;
+        assert!(
+            rans_len < rc_len * 1.02 + STATE_BYTES as f64,
+            "rANS stream {rans_len}B vs range coder {rc_len}B"
+        );
     }
 }

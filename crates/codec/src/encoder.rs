@@ -4,8 +4,8 @@
 //! 1. split each layer's token axis into anchor groups ([`crate::delta`]);
 //! 2. quantize anchor rows at high precision (8-bit-equivalent bin) and
 //!    delta rows with the layer group's bin ([`cachegen_quant`]);
-//! 3. range-code the symbols with per-(layer, channel) distributions from
-//!    an offline [`CodecProfile`] ([`crate::rc`]) — one **independently
+//! 3. rANS-code the symbols with per-(layer, channel) distributions from
+//!    an offline [`CodecProfile`] ([`crate::rans`]) — one **independently
 //!    decodable stream per (layer, token-group)** of K and of V.
 //!
 //! Per-(layer, group) streams are the CPU stand-in for the paper's
@@ -22,8 +22,7 @@
 use crate::delta::GroupLayout;
 use crate::profile::CodecProfile;
 use crate::rans::{self, AliasTable};
-use crate::rc;
-use crate::symbol_model::{FreqTable, ModelGranularity};
+use crate::symbol_model::ModelGranularity;
 use crate::{index_to_symbol, symbol_to_index};
 use cachegen_llm::KvCache;
 use cachegen_quant::{BinQuantizer, LayerGroupBins};
@@ -186,13 +185,8 @@ pub struct EncodedKv {
     pub group_size: usize,
     /// Whether delta encoding was applied.
     pub delta_encoding: bool,
-    /// Entropy-coder wire version of the chunk payloads: `2` = serial
-    /// range coder ([`crate::rc`]), `3` = four-lane interleaved rANS
-    /// ([`crate::rans`]). The container accepts both on decode for one
-    /// release; [`KvCodec::encode`] emits only 3.
-    pub entropy_version: u8,
     /// Per-(layer, group) K chunks: `k_chunks[layer][group]` is one
-    /// independently decodable range-coded stream.
+    /// independently decodable rANS stream.
     pub k_chunks: Vec<Vec<Vec<u8>>>,
     /// Per-(layer, group) V chunks, same shape as `k_chunks`.
     pub v_chunks: Vec<Vec<Vec<u8>>>,
@@ -259,10 +253,7 @@ impl EncodedKv {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total_bytes() as usize);
         out.extend_from_slice(b"CGKV");
-        // Version byte doubles as the entropy-coder selector: 2 = serial
-        // range coder, 3 = four-lane interleaved rANS. Both are
-        // per-(layer, group) chunked containers with identical framing.
-        out.push(self.entropy_version);
+        out.push(WIRE_VERSION);
         out.push(self.delta_encoding as u8);
         out.extend_from_slice(&(self.layers as u16).to_le_bytes());
         out.extend_from_slice(&(self.tokens as u32).to_le_bytes());
@@ -301,10 +292,12 @@ impl EncodedKv {
             return Err("bad magic".into());
         }
         let version = take(&mut pos, 1)?[0];
-        // v2 (range coder) stays decodable for one release alongside v3
-        // (rANS); v1's monolithic streams are long gone.
-        if version != 2 && version != 3 {
-            return Err(format!("unsupported version {version}"));
+        // Only v3 (interleaved rANS) is read: v1's monolithic streams and
+        // the range-coded chunks of version 2 are no longer decodable.
+        if version != WIRE_VERSION {
+            return Err(format!(
+                "unsupported version {version} (only {WIRE_VERSION} is read)"
+            ));
         }
         // Fixed-width header fields, parsed without unwraps: `take_n`
         // yields an array of exactly N bytes or a typed truncation error.
@@ -360,13 +353,16 @@ impl EncodedKv {
             channels,
             group_size,
             delta_encoding,
-            entropy_version: version,
             k_chunks,
             v_chunks,
             scales,
         })
     }
 }
+
+/// The container version byte: 3 = per-(layer, group) chunks of four-lane
+/// interleaved rANS. The only version written or read.
+const WIRE_VERSION: u8 = 3;
 
 /// LEB128-encoded length of `n` on the wire (1 byte per 7 bits; chunk
 /// payloads are typically well under 16 KiB, so lengths cost 1–2 bytes).
@@ -650,12 +646,11 @@ impl KvCodec {
         )
     }
 
-    /// Encodes one layer into its per-group chunks. Frequency tables and
+    /// Encodes one layer into its per-group chunks. Alias tables and
     /// quantization steps are resolved once per layer, outside the symbol
-    /// loop. `entropy_version` selects the chunk payload coder: 2 = serial
-    /// range coder, 3 = four-lane interleaved rANS (lane = channel mod
-    /// [`rans::LANES`], so each row's channel blocks align with the
-    /// decoder's batched four-wide loop).
+    /// loop; each chunk is a four-lane interleaved rANS stream (lane =
+    /// channel mod [`rans::LANES`], so each row's channel blocks align
+    /// with the decoder's batched four-wide loop).
     #[allow(clippy::too_many_arguments)] // encode-side mirror of decode_chunk's stages
     fn encode_layer_chunks(
         &self,
@@ -665,7 +660,6 @@ impl KvCodec {
         is_k: bool,
         anchor_scales: &[f32],
         delta_scales: &[f32],
-        entropy_version: u8,
     ) -> Vec<Vec<u8>> {
         let channels = self.profile.channels();
         let tokens = slab.len() / channels;
@@ -673,33 +667,6 @@ impl KvCodec {
         let (anchor_q, delta_q) = self.quantizers(layer, n_layers);
         let anchor_steps: Vec<f32> = anchor_scales.iter().map(|&s| anchor_q.step(s)).collect();
         let delta_steps: Vec<f32> = delta_scales.iter().map(|&s| delta_q.step(s)).collect();
-        if entropy_version == 2 {
-            let anchor_tables = self.profile.layer_tables(SymKind::Anchor, is_k, layer);
-            let delta_tables = self.profile.layer_tables(SymKind::Delta, is_k, layer);
-            return (0..layout.num_groups())
-                .map(|g| {
-                    let (start, end) = layout.group_range(g);
-                    let mut enc = rc::Encoder::new();
-                    walk_group_symbols(
-                        slab,
-                        channels,
-                        start,
-                        end,
-                        self.config.delta_encoding,
-                        &anchor_steps,
-                        &delta_steps,
-                        |kind, c, sym| {
-                            let table: &FreqTable = match kind {
-                                SymKind::Anchor => anchor_tables[c],
-                                SymKind::Delta => delta_tables[c],
-                            };
-                            enc.encode(table, symbol_to_index(sym));
-                        },
-                    );
-                    enc.finish()
-                })
-                .collect();
-        }
         let anchor_tables = self
             .profile
             .layer_alias_tables(SymKind::Anchor, is_k, layer);
@@ -730,124 +697,14 @@ impl KvCodec {
     }
 
     /// Decodes one (layer, group) chunk into its output slice, verifying
-    /// exact byte consumption against the chunk frame. Dispatches on the
-    /// container's entropy version: 2 = serial range coder, 3 = four-lane
-    /// interleaved rANS.
-    #[allow(clippy::too_many_arguments)] // decode-side mirror of the encode stages
-    pub(crate) fn decode_chunk(
-        &self,
-        stream: &[u8],
-        layer: usize,
-        n_layers: usize,
-        group: usize,
-        group_tokens: usize,
-        is_k: bool,
-        delta_encoding: bool,
-        entropy_version: u8,
-        anchor_scales: &[f32],
-        delta_scales: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CodecError> {
-        if entropy_version == 2 {
-            self.decode_chunk_rc(
-                stream,
-                layer,
-                n_layers,
-                group,
-                group_tokens,
-                is_k,
-                delta_encoding,
-                anchor_scales,
-                delta_scales,
-                out,
-            )
-        } else {
-            self.decode_chunk_rans(
-                stream,
-                layer,
-                n_layers,
-                group,
-                group_tokens,
-                is_k,
-                delta_encoding,
-                anchor_scales,
-                delta_scales,
-                out,
-            )
-        }
-    }
-
-    /// Wire-v2 chunk decode: the serial range coder, kept for the one-release
-    /// compatibility window.
-    #[allow(clippy::too_many_arguments)] // decode-side mirror of the encode stages
-    fn decode_chunk_rc(
-        &self,
-        stream: &[u8],
-        layer: usize,
-        n_layers: usize,
-        group: usize,
-        group_tokens: usize,
-        is_k: bool,
-        delta_encoding: bool,
-        anchor_scales: &[f32],
-        delta_scales: &[f32],
-        out: &mut [f32],
-    ) -> Result<(), CodecError> {
-        let channels = self.profile.channels();
-        debug_assert_eq!(out.len(), group_tokens * channels);
-        let (anchor_q, delta_q) = self.quantizers(layer, n_layers);
-        let delta_steps: Vec<f32> = delta_scales.iter().map(|&s| delta_q.step(s)).collect();
-        let delta_tables = self.profile.layer_tables(SymKind::Delta, is_k, layer);
-        let mut dec = rc::Decoder::new(stream);
-        if delta_encoding {
-            let anchor_steps: Vec<f32> = anchor_scales.iter().map(|&s| anchor_q.step(s)).collect();
-            let anchor_tables = self.profile.layer_tables(SymKind::Anchor, is_k, layer);
-            let (anchor_row, rest) = out.split_at_mut(channels);
-            for (c, slot) in anchor_row.iter_mut().enumerate() {
-                let sym = index_to_symbol(dec.decode(anchor_tables[c]));
-                *slot = sym as f32 * anchor_steps[c];
-            }
-            for row in rest.chunks_mut(channels) {
-                for (c, slot) in row.iter_mut().enumerate() {
-                    let sym = index_to_symbol(dec.decode(delta_tables[c]));
-                    *slot = anchor_row[c] + sym as f32 * delta_steps[c];
-                }
-            }
-        } else {
-            for row in out.chunks_mut(channels) {
-                for (c, slot) in row.iter_mut().enumerate() {
-                    let sym = index_to_symbol(dec.decode(delta_tables[c]));
-                    *slot = sym as f32 * delta_steps[c];
-                }
-            }
-        }
-        if dec.overrun_bytes() > 0 {
-            return Err(CodecError::TruncatedChunk {
-                is_k,
-                layer,
-                group,
-                missing_bytes: dec.overrun_bytes(),
-            });
-        }
-        if dec.bytes_consumed() != stream.len() {
-            return Err(CodecError::ChunkLengthMismatch {
-                is_k,
-                layer,
-                group,
-                consumed: dec.bytes_consumed(),
-                framed: stream.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Wire-v3 chunk decode: four-lane interleaved rANS with the batched
-    /// four-wide row loop ([`decode_row_rans`]). Truncation surfaces as
+    /// exact byte consumption against the chunk frame: four-lane
+    /// interleaved rANS with the batched four-wide row loop
+    /// ([`decode_row_rans`]). Truncation surfaces as
     /// synthetic input, in-place corruption as lanes that fail to return
     /// to the normalization base, trailing slack as a length mismatch —
     /// a damaged chunk is always reported, never decoded as noise.
     #[allow(clippy::too_many_arguments)] // decode-side mirror of the encode stages
-    fn decode_chunk_rans(
+    pub(crate) fn decode_chunk(
         &self,
         stream: &[u8],
         layer: usize,
@@ -917,19 +774,6 @@ impl KvCodec {
     /// the stream header; only the symbol distributions come from the
     /// offline profile.
     pub fn encode(&self, cache: &KvCache) -> EncodedKv {
-        self.encode_with_version(cache, 3)
-    }
-
-    /// Encodes with wire-v2 (serial range coder) chunk payloads. Kept for
-    /// the one-release compatibility window — peers that cannot decode v3
-    /// yet — and as the reference arm for v3 bit-exactness tests: both
-    /// versions quantize identically, so their decodes must agree
-    /// bit-for-bit.
-    pub fn encode_v2(&self, cache: &KvCache) -> EncodedKv {
-        self.encode_with_version(cache, 2)
-    }
-
-    fn encode_with_version(&self, cache: &KvCache, entropy_version: u8) -> EncodedKv {
         assert_eq!(
             cache.channels(),
             self.profile.channels(),
@@ -964,7 +808,6 @@ impl KvCodec {
                     true,
                     &scales[0][l],
                     &scales[1][l],
-                    entropy_version,
                 )
             })
             .collect();
@@ -977,7 +820,6 @@ impl KvCodec {
                     false,
                     &scales[2][l],
                     &scales[3][l],
-                    entropy_version,
                 )
             })
             .collect();
@@ -987,7 +829,6 @@ impl KvCodec {
             channels: cache.channels(),
             group_size: self.config.group_size,
             delta_encoding: self.config.delta_encoding,
-            entropy_version,
             k_chunks,
             v_chunks,
             scales,
@@ -1121,7 +962,6 @@ impl KvCodec {
                 job.group_tokens,
                 job.is_k,
                 enc.delta_encoding,
-                enc.entropy_version,
                 anchor_scales,
                 delta_scales,
                 job.out,
@@ -1285,7 +1125,6 @@ mod tests {
                 true,
                 &enc.scales[0][0],
                 &enc.scales[1][0],
-                enc.entropy_version,
             )
             .remove(1);
         damaged.k_chunks[0][1] = replacement;
@@ -1455,21 +1294,87 @@ mod tests {
         );
     }
 
+    /// Entropy-free reference decode: quantizes `cache` through the same
+    /// bf16-rounded scales and the same [`walk_group_symbols`] walk as
+    /// [`KvCodec::encode`], then dequantizes every symbol in place — no
+    /// entropy coder anywhere. A decode that matches it bit for bit
+    /// proves the rANS stage lossless.
+    fn entropy_free_reference(codec: &KvCodec, cache: &KvCache) -> KvCache {
+        let cfg = codec.config();
+        let (layers, tokens, channels) = (cache.layers(), cache.tokens(), cache.channels());
+        let layout = GroupLayout::new(cfg.group_size, tokens);
+        let wire = |s: f32| wire_to_scale(scale_to_wire(s));
+        let mut sides = Vec::with_capacity(2);
+        for is_k in [true, false] {
+            let src = if is_k { cache.k() } else { cache.v() };
+            let (anchor_scales, delta_scales) =
+                crate::profile::single_cache_scales(cache, is_k, cfg);
+            let mut out = Tensor::zeros(&[layers, tokens, channels]);
+            for l in 0..layers {
+                let (anchor_q, delta_q) = codec.quantizers(l, layers);
+                let anchor_steps: Vec<f32> = anchor_scales[l]
+                    .iter()
+                    .map(|&s| anchor_q.step(wire(s)))
+                    .collect();
+                let delta_steps: Vec<f32> = delta_scales[l]
+                    .iter()
+                    .map(|&s| delta_q.step(wire(s)))
+                    .collect();
+                let dst = out.slab_mut(l);
+                for g in 0..layout.num_groups() {
+                    let (start, end) = layout.group_range(g);
+                    let mut anchor_row = vec![0.0f32; channels];
+                    let mut at = start * channels;
+                    walk_group_symbols(
+                        src.slab(l),
+                        channels,
+                        start,
+                        end,
+                        cfg.delta_encoding,
+                        &anchor_steps,
+                        &delta_steps,
+                        |kind, c, sym| {
+                            dst[at] = match kind {
+                                SymKind::Anchor => {
+                                    anchor_row[c] = sym as f32 * anchor_steps[c];
+                                    anchor_row[c]
+                                }
+                                SymKind::Delta if cfg.delta_encoding => {
+                                    anchor_row[c] + sym as f32 * delta_steps[c]
+                                }
+                                SymKind::Delta => sym as f32 * delta_steps[c],
+                            };
+                            at += 1;
+                        },
+                    );
+                    assert_eq!(at, end * channels, "walk covers the group");
+                }
+            }
+            sides.push(out);
+        }
+        let v = sides.pop().expect("two sides");
+        let k = sides.pop().expect("two sides");
+        KvCache::from_tensors(k, v)
+    }
+
+    /// Serial and parallel decode must equal the entropy-free reference
+    /// bit for bit on one prefilled cache, with and without delta
+    /// encoding.
+    fn assert_decodes_match_reference(codec: &KvCodec, cache: &KvCache) {
+        let enc = codec.encode(cache);
+        let want = entropy_free_reference(codec, cache);
+        assert_eq!(codec.decode(&enc), want, "serial decode != reference");
+        assert_eq!(
+            codec.decode_parallel(&enc),
+            want,
+            "parallel decode != reference"
+        );
+    }
+
     #[test]
-    fn v3_decode_is_bit_identical_to_v2() {
-        // Both versions quantize through the same walk; only the entropy
-        // stage differs, and entropy coding is lossless — so the decoded
-        // caches must match bit-for-bit, serial and parallel, both
-        // ablation arms.
+    fn v3_decode_matches_entropy_free_reference() {
         let (_, cache, codec) = setup();
-        let v3 = codec.encode(&cache);
-        let v2 = codec.encode_v2(&cache);
-        assert_eq!(v3.entropy_version, 3);
-        assert_eq!(v2.entropy_version, 2);
-        let d3 = codec.decode(&v3);
-        let d2 = codec.decode(&v2);
-        assert_eq!(d3, d2, "v3 and v2 must decode identically");
-        assert_eq!(codec.decode_parallel(&v3), d3);
+        assert_decodes_match_reference(&codec, &cache);
         let m = SimTransformer::new(SimModelConfig::tiny(33));
         let cache = m.prefill(&(0..25).collect::<Vec<_>>());
         let cfg = CodecConfig {
@@ -1477,22 +1382,37 @@ mod tests {
             ..CodecConfig::default()
         };
         let profile = CodecProfile::build(&cfg, &[&cache]);
-        let codec = KvCodec::new(cfg, profile);
-        assert_eq!(
-            codec.decode(&codec.encode(&cache)),
-            codec.decode(&codec.encode_v2(&cache))
-        );
+        assert_decodes_match_reference(&KvCodec::new(cfg, profile), &cache);
     }
 
-    #[test]
-    fn container_round_trips_v2_payloads() {
-        let (_, cache, codec) = setup();
-        let enc = codec.encode_v2(&cache);
-        let bytes = enc.to_bytes();
-        assert_eq!(bytes[4], 2, "v2 container must carry version byte 2");
-        let back = EncodedKv::from_bytes(&bytes).expect("v2 stays decodable");
-        assert_eq!(back, enc);
-        assert_eq!(codec.decode(&back), codec.decode(&enc));
+    proptest::proptest! {
+        // Each case prefills the tiny transformer, so keep the count modest.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The reference property over random contexts and lengths (ragged
+        /// final groups included), alternating the delta-encoding arm.
+        #[test]
+        fn decode_matches_entropy_free_reference_on_random_caches(
+            seed in 0u64..500,
+            len in 12usize..60,
+        ) {
+            use rand::Rng;
+            let model = SimTransformer::new(SimModelConfig::tiny(7));
+            let mut rng = cachegen_tensor::rng::seeded(seed);
+            let ctx: Vec<usize> = (0..len).map(|_| rng.gen::<usize>() % 64).collect();
+            let cache = model.prefill(&ctx);
+            let cfg = CodecConfig {
+                delta_encoding: seed % 2 == 0,
+                ..CodecConfig::default()
+            };
+            let profile = CodecProfile::build(&cfg, &[&cache]);
+            let codec = KvCodec::new(cfg, profile);
+            assert_decodes_match_reference(&codec, &cache);
+            // The decode survives its own wire round-trip.
+            let enc = codec.encode(&cache);
+            let back = EncodedKv::from_bytes(&enc.to_bytes()).expect("round trip");
+            proptest::prop_assert_eq!(codec.decode(&back), codec.decode(&enc));
+        }
     }
 
     #[test]
@@ -1550,10 +1470,18 @@ mod tests {
     #[test]
     fn container_rejects_old_wire_version() {
         let (_, cache, codec) = setup();
-        let mut bytes = codec.encode(&cache).to_bytes();
-        bytes[4] = 1; // pre-chunking monolithic-stream format
-        let err = EncodedKv::from_bytes(&bytes).expect_err("v1 unsupported");
-        assert!(err.contains("version"), "got: {err}");
+        let bytes = codec.encode(&cache).to_bytes();
+        assert_eq!(bytes[4], 3, "the container writes version 3");
+        // 1 = pre-chunking monolithic streams; 2 = range-coded chunks.
+        for old in [1u8, 2] {
+            let mut bytes = bytes.clone();
+            bytes[4] = old;
+            let err = EncodedKv::from_bytes(&bytes).expect_err("old version unsupported");
+            assert!(
+                err.contains(&format!("unsupported version {old}")),
+                "got: {err}"
+            );
+        }
     }
 
     #[test]

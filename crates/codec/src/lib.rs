@@ -5,24 +5,15 @@
 //!
 //! ```text
 //!   KV cache ──► token groups (anchor + deltas) ──► bin quantization
-//!            ──► integer symbols ──► range coding with per-(layer,
+//!            ──► integer symbols ──► rANS coding with per-(layer,
 //!                channel) symbol distributions ──► per-(layer, group)
 //!                chunked KV bitstream
 //! ```
 //!
 //! * [`rans`] — a four-lane interleaved rANS coder (independent u64
 //!   states round-robin over symbols, alias-table symbol resolution), the
-//!   entropy-coding hot path since wire version 3. Lossless by
-//!   construction, with exact consumed-byte accounting and a per-lane
-//!   final-state check.
-//! * [`rc`] — a byte-renormalizing serial range coder (64-bit state, u8
-//!   output, no per-bit loop), the wire-v2 coder; still fully decodable
-//!   for the compatibility window.
-//! * [`ac`] — the legacy 32-bit Witten–Neal–Cleary arithmetic coder, kept
-//!   as a compatibility shim (bit-at-a-time; ~an order of magnitude slower
-//!   to decode). New code should use [`rc`].
-//! * [`bitio`] — bit-level writer/reader over byte buffers (used by the
-//!   legacy coder).
+//!   codec's one entropy coder. Lossless by construction, with exact
+//!   consumed-byte accounting and a per-lane final-state check.
 //! * [`symbol_model`] — frequency tables at four context granularities
 //!   (global / per-layer / per-channel / per-channel-layer) for the
 //!   Figure 15 ablation; the paper's choice is per-channel-layer.
@@ -46,7 +37,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "CGKV"
-//! 4       1     entropy version (3 = interleaved rANS; 2 = range coder)
+//! 4       1     version (3 = chunked interleaved rANS; the only one read)
 //! 5       1     delta_encoding flag (0 or 1)
 //! 6       2     layers            (u16 LE)
 //! 8       4     tokens            (u32 LE)
@@ -90,12 +81,6 @@
 //! accounting against the chunk frame — is what turns any truncation or
 //! corruption into a reported [`encoder::CodecError`] instead of noise.
 //!
-//! **Compatibility window**: [`KvCodec::encode`] emits version 3 only;
-//! [`EncodedKv::from_bytes`] and every decode path accept versions 2 and
-//! 3 for one release ([`KvCodec::encode_v2`] covers tests and tooling
-//! that still need to produce v2 streams). The v2 payload is a single
-//! serial [`rc`] stream per chunk with no state header.
-//!
 //! ## Chunk arrival map and repair provenance
 //!
 //! Over a lossy transport each entropy chunk travels as its own packet,
@@ -120,52 +105,52 @@
 //! ## FEC parity packets and the recovery ladder
 //!
 //! With forward error correction enabled, the transport also emits
-//! **XOR parity packets** alongside the data packets. Parity is purely a
+//! **parity packets** alongside the data packets. Parity is purely a
 //! wire-level artifact — it never appears in the [`EncodedKv`] container
-//! above, so stored bitstreams are unchanged and FEC off (`k = ∞`) is
-//! bit-identical to the plain transport. Layout per stream chunk:
+//! above, so stored bitstreams are unchanged and FEC off is bit-identical
+//! to the plain transport. Layout per stream chunk:
 //!
 //! * The schedule's `n` data packets (priority order: early token groups,
 //!   shallow layers, K before V) are striped into parity groups of at
 //!   most `k` members with **interleaver stride `g = ceil(n / k)`**:
-//!   packet `i` joins group `i mod g`, so a burst of up to `g`
-//!   consecutive drops degrades into at most one loss per group. The
-//!   head half of the priority order may be protected denser (`ceil(k /
-//!   2)`, `FecOverhead::PerLevel`).
-//! * Each group's parity packet is the byte-wise XOR of its members
-//!   (zero-padded to the longest), sized to the group's max member, and
-//!   rides the wire **immediately after its group's last data packet** —
-//!   after the data of its group, before the next group's tail.
+//!   packet `i` joins group `i mod g`, so a burst of up to `g·r`
+//!   consecutive drops degrades into at most `r` losses per group.
+//!   `FecOverhead::Fixed { k, r }` uses one `(k, r)` everywhere;
+//!   `FecOverhead::PerLevel` protects the head half of the priority
+//!   order denser (`ceil(k / 2)`); `FecOverhead::Adaptive` re-picks
+//!   `(k, r)` per chunk from the loss estimate.
+//! * Each group carries `r` parity packets of the systematic Cauchy
+//!   Reed–Solomon code `cachegen_net::RsCode` over GF(256), each sized to
+//!   the group's longest member. Parity row 0 is the byte-wise XOR of the
+//!   members, so `r = 1` is plain XOR parity. Parity 0 rides the wire
+//!   **immediately after its group's last data packet**; the other rows
+//!   are staggered over the following data slots.
 //!
 //! The receive path then runs a three-rung recovery ladder:
 //!
-//! 1. **FEC** — a group that lost exactly one data packet (and kept its
-//!    parity) is XOR-reconstructed byte-identically; the chunk is marked
-//!    recovered in the arrival map and decodes like an arrival, reported
-//!    as [`repair::RepairCause::RecoveredByFec`] provenance with no
-//!    quality penalty.
-//! 2. **Repair** — groups with ≥ 2 losses fall back to the
-//!    [`RepairPolicy`] chain above (after whatever retransmit budget the
-//!    streamer had).
+//! 1. **FEC** — a group that lost at most as many data packets as it
+//!    kept parity packets is reconstructed byte-identically; the chunks
+//!    are marked recovered in the arrival map and decode like arrivals,
+//!    reported as [`repair::RepairCause::RecoveredByFec`] provenance with
+//!    no quality penalty.
+//! 2. **Repair** — groups with more losses than surviving parity fall
+//!    back to the [`RepairPolicy`] chain above (after whatever retransmit
+//!    budget the streamer had).
 //! 3. **Refetch** — under [`RepairPolicy::Refetch`] the remaining holes
 //!    are re-requested after the first decode; TTFT keeps the first-pass
 //!    finish and fidelity is restored when the re-fetch lands.
 //!
-//! **Compatibility**: version 1 (monolithic per-layer WNC streams) is no
-//! longer written or read; [`EncodedKv::from_bytes`] rejects it
-//! explicitly. Stored contexts must be re-encoded — profiles are built
-//! offline per model and unaffected. Version 2 remains decodable for one
-//! release (see the compatibility window above).
+//! **Compatibility**: only version 3 is written or read. Versions 1
+//! (monolithic per-layer streams) and 2 (range-coded chunks) are
+//! rejected explicitly by [`EncodedKv::from_bytes`]; stored contexts must
+//! be re-encoded. Profiles are built offline per model and unaffected.
 
-pub mod ac;
-pub mod bitio;
 pub mod delta;
 pub mod encoder;
 pub mod layered;
 pub mod pool;
 pub mod profile;
 pub mod rans;
-pub mod rc;
 pub mod repair;
 pub mod symbol_model;
 

@@ -17,7 +17,7 @@
 use crate::delta::GroupLayout;
 use crate::encoder::{walk_layer_symbols, CodecConfig, SymKind};
 use crate::rans::AliasTable;
-use crate::symbol_model::{FreqTable, ModelGranularity, SymbolModelSet};
+use crate::symbol_model::{ModelGranularity, SymbolModelSet};
 use cachegen_llm::KvCache;
 use cachegen_quant::BinQuantizer;
 use cachegen_tensor::Tensor;
@@ -217,29 +217,11 @@ impl CodecProfile {
         &self.delta_scales[Self::side(is_k)][layer]
     }
 
-    /// The frequency table for a symbol kind at (layer, channel).
-    pub fn table(&self, kind: SymKind, is_k: bool, layer: usize, channel: usize) -> &FreqTable {
-        let s = Self::side(is_k);
-        match kind {
-            SymKind::Anchor => self.anchor_models[s].table(layer, channel),
-            SymKind::Delta => self.delta_models[s].table(layer, channel),
-        }
-    }
-
-    /// All per-channel tables of one kind for one layer, resolved once —
-    /// the hot encode/decode loops index the returned slice per channel
-    /// instead of routing through the granularity per symbol.
-    pub fn layer_tables(&self, kind: SymKind, is_k: bool, layer: usize) -> Vec<&FreqTable> {
-        let s = Self::side(is_k);
-        match kind {
-            SymKind::Anchor => self.anchor_models[s].layer_tables(layer),
-            SymKind::Delta => self.delta_models[s].layer_tables(layer),
-        }
-    }
-
-    /// All per-channel rANS alias tables of one kind for one layer — the
-    /// wire-v3 analogue of [`CodecProfile::layer_tables`]. Same
-    /// distributions, repacked at profile-build time.
+    /// All per-channel rANS alias tables of one kind for one layer,
+    /// resolved once — the hot encode/decode loops index the returned
+    /// slice per channel instead of routing through the granularity per
+    /// symbol. The profiled frequency tables, repacked at profile-build
+    /// time.
     pub fn layer_alias_tables(&self, kind: SymKind, is_k: bool, layer: usize) -> Vec<&AliasTable> {
         let s = Self::side(is_k);
         match kind {

@@ -1,10 +1,9 @@
-//! Four-lane interleaved rANS — the wire-v3 entropy stage.
+//! Four-lane interleaved rANS — the codec's entropy coder (wire v3).
 //!
-//! The range coder ([`crate::rc`]) decodes one symbol per dependent
+//! A serial range coder decodes one symbol per dependent
 //! divide/renormalize chain, so raw decode throughput is pinned to the
-//! latency of a 64-bit division. This module replaces it on the hot path
-//! with a *range asymmetric numeral system* in the 64-bit/32-bit-word
-//! formulation:
+//! latency of a 64-bit division. This module is a *range asymmetric
+//! numeral system* in the 64-bit/32-bit-word formulation instead:
 //!
 //! * **Four independent `u64` states** round-robin over the symbol
 //!   sequence (`lane = position % LANES` is the caller's contract, the
@@ -34,7 +33,7 @@
 //!
 //! Truncation and corruption are detectable without trusting the payload:
 //! the decoder counts synthetic zero bytes past the end of input
-//! ([`Decoder::overrun_bytes`], like [`crate::rc`]) and, because every
+//! ([`Decoder::overrun_bytes`]) and, because every
 //! encoder lane starts at [`RANS_L`], a complete clean decode must return
 //! every lane to exactly [`RANS_L`] — [`Decoder::finished`] is the
 //! per-lane final-state check the v3 container verifies per chunk.
@@ -94,8 +93,8 @@ struct Seg {
 /// then: bucket = high bits, compare against the bucket's divider, done —
 /// where [`FreqTable::find`] scans forward from a coarse LUT. The alias
 /// layout permutes the symbol ↔ scaled-value mapping relative to the
-/// cumulative layout, which is why it arrives with wire v3 (the v2 range
-/// coder keeps decoding through the untouched cumulative tables).
+/// cumulative layout, so the two layouts produce different bytes for the
+/// same symbols.
 ///
 /// Build cost is `O(N)`; [`crate::symbol_model::SymbolModelSet`] builds
 /// one per frequency table at profile time so no decode ever pays it.
@@ -816,53 +815,5 @@ mod tests {
                 "corruption at byte {at} slipped every check"
             );
         }
-    }
-
-    #[test]
-    fn matches_range_coder_losslessness_on_same_tables() {
-        // Same symbols through rc (cumulative layout) and rANS (alias
-        // layout): different bytes, identical decoded sequences.
-        let freq = FreqTable::from_counts(&[500, 30, 9, 2, 1]);
-        let table = AliasTable::from_freq(&freq);
-        let symbols: Vec<usize> = (0..3_000).map(|i| (i * i) % 5).collect();
-        let mut rc_enc = crate::rc::Encoder::new();
-        let mut rans_enc = Encoder::new();
-        for (i, &s) in symbols.iter().enumerate() {
-            rc_enc.encode(&freq, s);
-            rans_enc.encode(i % LANES, &table, s);
-        }
-        let rc_bytes = rc_enc.finish();
-        let rans_bytes = rans_enc.finish();
-        let mut rc_dec = crate::rc::Decoder::new(&rc_bytes);
-        let mut rans_dec = Decoder::new(&rans_bytes);
-        for (i, &s) in symbols.iter().enumerate() {
-            assert_eq!(rc_dec.decode(&freq), s);
-            assert_eq!(rans_dec.decode(i % LANES, &table), s);
-        }
-        assert!(rans_dec.finished());
-    }
-
-    #[test]
-    fn compression_is_close_to_the_range_coder() {
-        // Entropy coding efficiency must not regress past the fixed
-        // 32-byte state header: compare payload sizes on a skewed stream.
-        let freq = FreqTable::from_counts(&[900, 50, 25, 12, 6, 3, 2, 1]);
-        let table = AliasTable::from_freq(&freq);
-        let mut rng = cachegen_tensor::rng::seeded(5);
-        let symbols: Vec<usize> = (0..20_000)
-            .map(|_| (rng.gen::<u32>() % 8) as usize)
-            .collect();
-        let mut rc_enc = crate::rc::Encoder::new();
-        let mut rans_enc = Encoder::new();
-        for (i, &s) in symbols.iter().enumerate() {
-            rc_enc.encode(&freq, s);
-            rans_enc.encode(i % LANES, &table, s);
-        }
-        let rc_len = rc_enc.finish().len() as f64;
-        let rans_len = rans_enc.finish().len() as f64;
-        assert!(
-            rans_len < rc_len * 1.02 + STATE_BYTES as f64,
-            "rANS stream {rans_len}B vs range coder {rc_len}B"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A lossy transport delivers a *subset* of a stream's per-(layer,
 //! token-group) entropy chunks. Because every chunk is independently
-//! decodable (wire v2), the decoder does not have to stall on the holes:
+//! decodable, the decoder does not have to stall on the holes:
 //! [`KvCodec::decode_with_repairs`] decodes what arrived, fills what did
 //! not according to a [`RepairPolicy`], and reports exactly what it did
 //! per chunk ([`ChunkRepair`]) — a damaged stream degrades output quality
@@ -318,7 +318,6 @@ impl KvCodec {
                         end - start,
                         is_k,
                         enc.delta_encoding,
-                        enc.entropy_version,
                         anchor_scales,
                         delta_scales,
                         slice,

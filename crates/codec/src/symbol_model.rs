@@ -12,10 +12,9 @@ use crate::rans::AliasTable;
 use crate::{symbol_to_index, ALPHABET};
 
 /// Every table's total frequency mass, exactly: `2^TOTAL_BITS`. A fixed
-/// power-of-two total turns the coders' per-symbol `range / total` into a
-/// shift, keeps `range / total ≥ 1` in the range coder ([`crate::rc`],
-/// which restores `range ≥ 2⁴⁸` between symbols), and stays far below the
-/// legacy WNC coder's 2³⁰ precision bound.
+/// power-of-two total makes rANS decode division-free (the state split is
+/// a mask and a shift) and turns a cumulative-layout coder's per-symbol
+/// `range / total` into a shift.
 pub const TOTAL_BITS: u32 = 24;
 
 /// `1 << TOTAL_BITS` — the exact total of every [`FreqTable`].
@@ -31,8 +30,9 @@ const BUCKET_BITS: u32 = 10;
 /// `cum[i+1] > cum[i]` guaranteed (every symbol gets at least one count —
 /// Laplace smoothing — so unseen symbols remain encodable). A bucket
 /// lookup table maps a scaled code value to its symbol in O(1) expected
-/// time — [`FreqTable::find`] is the decoders' hot path, and a binary
-/// search there dominates decode cost.
+/// time ([`FreqTable::find`], the lookup a cumulative-layout decoder such
+/// as a range coder runs per symbol). The codec's rANS stage repacks each
+/// table into an [`AliasTable`] instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FreqTable {
     cum: Vec<u64>,
@@ -240,22 +240,16 @@ impl SymbolModelSet {
         &self.tables[table_index(self.granularity, self.layers, self.channels, layer, channel)]
     }
 
-    /// All per-channel tables of one layer, resolved once. Hot symbol loops
-    /// index this slice directly instead of re-deriving the granularity
-    /// routing per symbol.
-    pub fn layer_tables(&self, layer: usize) -> Vec<&FreqTable> {
-        (0..self.channels).map(|c| self.table(layer, c)).collect()
-    }
-
     /// The rANS alias table for a given (layer, channel) — the same
     /// distribution as [`SymbolModelSet::table`], repacked for branch-light
-    /// symbol resolution (wire v3).
+    /// symbol resolution.
     pub fn alias_table(&self, layer: usize, channel: usize) -> &AliasTable {
         &self.alias[table_index(self.granularity, self.layers, self.channels, layer, channel)]
     }
 
-    /// All per-channel alias tables of one layer, resolved once (the rANS
-    /// analogue of [`SymbolModelSet::layer_tables`]).
+    /// All per-channel alias tables of one layer, resolved once. Hot
+    /// symbol loops index this slice directly instead of re-deriving the
+    /// granularity routing per symbol.
     pub fn layer_alias_tables(&self, layer: usize) -> Vec<&AliasTable> {
         (0..self.channels)
             .map(|c| self.alias_table(layer, c))
@@ -347,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn layer_tables_match_per_channel_lookup() {
+    fn layer_alias_tables_match_per_channel_lookup() {
         let set = SymbolModelSet::build(ModelGranularity::PerChannelLayer, 3, 5, |rec| {
             for l in 0..3 {
                 for c in 0..5 {
@@ -356,10 +350,10 @@ mod tests {
             }
         });
         for l in 0..3 {
-            let tables = set.layer_tables(l);
+            let tables = set.layer_alias_tables(l);
             assert_eq!(tables.len(), 5);
             for (c, t) in tables.iter().enumerate() {
-                assert_eq!(*t, set.table(l, c));
+                assert!(std::ptr::eq(*t, set.alias_table(l, c)));
             }
         }
     }

@@ -40,8 +40,8 @@
 //!   `store_kv`, `get_kv`, `generate_with_kv`) plus multi-level encoding.
 //! * [`pipeline`] — functional end-to-end context loading: offline encode →
 //!   adaptive packetized streaming over a simulated link → the
-//!   FEC→repair→refetch recovery ladder (XOR parity recovers single
-//!   losses per group byte-identically; what remains is repaired per
+//!   FEC→repair→refetch recovery ladder (Reed–Solomon parity recovers up
+//!   to `r` losses per group byte-identically; what remains is repaired per
 //!   [`RepairPolicy`], never stalled on) → reassembled (lossy) KV cache
 //!   ready for generation.
 //! * [`ttft`] — the analytic TTFT model at real-model scale (Figures 8,

@@ -1,17 +1,17 @@
 //! Systematic forward error correction over packet batches: striped
-//! parity groups, XOR fast path, and multi-erasure Reed–Solomon parity.
+//! parity groups protected by multi-erasure Reed–Solomon parity.
 //!
 //! The loss-resilient transport ships every entropy chunk as its own
 //! packet; PR 4 recovered holes *reactively* (repair policies, refetch).
 //! This module is the proactive half: the sender stripes the data packets
 //! of one schedule into **parity groups** of at most `k` members and
-//! emits `r ≥ 1` parity packets per group. With `r = 1` the parity is the
-//! byte-wise XOR of the members (the PR 5 wire format, bit-identical);
-//! with `r ≥ 2` the parity rows are the column-normalized Cauchy
-//! Reed–Solomon code of [`crate::rs`], whose row 0 *is* the XOR row — so
-//! any `r` losses per group (data or parity) are recovered byte-
-//! identically and order-free, no NACK round trip, no retransmission (the
-//! redundancy-at-the-sender argument of MDC fronthaul coding, PAPERS.md).
+//! emits `r ≥ 1` parity packets per group: the rows of the
+//! column-normalized Cauchy Reed–Solomon code of [`crate::rs`], whose row
+//! 0 is the byte-wise XOR of the members (so `r = 1` is plain XOR
+//! parity). Any `r` losses per group (data or parity) are recovered
+//! byte-identically and order-free, no NACK round trip, no retransmission
+//! (the redundancy-at-the-sender argument of MDC fronthaul coding,
+//! PAPERS.md).
 //!
 //! Properties that make the scheme useful on real loss patterns:
 //!
@@ -38,17 +38,15 @@
 //!   at ≈ `r/k` overhead.
 //! * **Systematic coding** — data packets travel unmodified; parity is
 //!   additional. FEC off is therefore bit-identical to the plain
-//!   transport, and `r = 1` is bit-identical to the PR 5 XOR transport.
+//!   transport.
 //!
 //! Recovery is order-independent: the receiver dedups packets by index
 //! (the transport already does — duplicates are delivered once) and
 //! solves per byte position. Groups losing more data packets than they
 //! have surviving parity packets are *not* recoverable here; those fall
-//! back to the repair/refetch ladder. Edge cases (survivor longer than
-//! parity, claimed length exceeding parity) are typed [`FecError`]s, not
-//! silent zero-padding.
-
-use crate::rs::FecError;
+//! back to the repair/refetch ladder. Edge cases (a survivor longer
+//! than the parity) are typed [`crate::rs::FecError`]s, not silent
+//! zero-padding.
 
 /// Packets larger than this multiple of the schedule's median size are
 /// excluded from parity protection (see the module docs). At real scale
@@ -70,44 +68,21 @@ pub struct FecGroups {
 }
 
 impl FecGroups {
-    /// Stripes `n` equally-trusted data packets into groups of at most
-    /// `k` members each: `g = ceil(n / k)` groups, packet `i` → group
-    /// `i % g`, one XOR parity per group (`r = 1`), so any burst of up to
-    /// `g` consecutive packets loses at most one member per group.
-    pub fn striped(n: usize, k: usize) -> Self {
-        Self::striped_rs(n, k, 1)
-    }
-
-    /// Multi-erasure striping: like [`FecGroups::striped`] but each group
-    /// carries `r` Reed–Solomon parity packets, so any burst of up to
-    /// `g·r` consecutive packets degrades into ≤ `r` losses per group —
-    /// all recoverable.
-    pub fn striped_rs(n: usize, k: usize, r: usize) -> Self {
-        assert!(n >= 1, "need at least one data packet");
-        Self::build(&(0..n).collect::<Vec<_>>(), n, k, r, false)
-    }
-
-    /// Two-tier striping: the *head* half of the sequence (the schedule's
-    /// highest-priority packets — early token groups, shallow layers) is
-    /// protected at the denser `ceil(k / 2)`, the tail at `k`.
-    pub fn striped_tiered(n: usize, k: usize) -> Self {
-        assert!(n >= 1, "need at least one data packet");
-        Self::build(&(0..n).collect::<Vec<_>>(), n, k, 1, true)
-    }
-
-    /// Striping over a sized schedule with outlier exclusion: packets
+    /// Stripes a sized schedule of `sizes.len()` data packets into
+    /// groups of at most `k` members, each carrying `r` Reed–Solomon
+    /// parity packets: `g = ceil(n / k)` groups, member `i` → group
+    /// `i mod g`, so any burst of up to `g·r` consecutive packets
+    /// degrades into ≤ `r` losses per group — all recoverable. Packets
     /// larger than [`OUTLIER_FACTOR`]× the median size stay unprotected
-    /// (their parity would cost as much as resending them); the rest are
-    /// striped — tiered (head half denser) when `tiered` is set — with
-    /// one XOR parity per group.
-    pub fn striped_sized(sizes: &[u64], k: usize, tiered: bool) -> Self {
-        Self::striped_sized_rs(sizes, k, 1, tiered)
-    }
-
-    /// Multi-erasure sized striping: [`FecGroups::striped_sized`] with
-    /// `r` Reed–Solomon parity packets per group.
-    pub fn striped_sized_rs(sizes: &[u64], k: usize, r: usize, tiered: bool) -> Self {
+    /// (their parity would cost as much as resending them). With
+    /// `tiered`, the head half of the protected packets (the schedule's
+    /// highest-priority ones) is striped at the denser `ceil(k / 2)`,
+    /// the tail at `k`.
+    pub fn new(sizes: &[u64], k: usize, r: usize, tiered: bool) -> Self {
         assert!(!sizes.is_empty(), "need at least one data packet");
+        assert!(k >= 1, "parity group size must be >= 1");
+        assert!(r >= 1, "repair count must be >= 1");
+        assert!(k + r <= 256, "group + parity exceeds the GF(256) field");
         // Lower median: on even-length schedules `s[len / 2]` is the
         // *upper* median, which inflated the outlier threshold and
         // silently protected packets the docs promise are excluded.
@@ -119,16 +94,7 @@ impl FecGroups {
         let protected: Vec<usize> = (0..sizes.len())
             .filter(|&i| sizes[i] <= median.saturating_mul(OUTLIER_FACTOR))
             .collect();
-        Self::build(&protected, sizes.len(), k, r, tiered)
-    }
-
-    /// Builds the grouping over the `protected` member indices (ascending
-    /// positions within the original `n`-packet sequence).
-    fn build(protected: &[usize], n: usize, k: usize, r: usize, tiered: bool) -> Self {
-        assert!(k >= 1, "parity group size must be >= 1");
-        assert!(r >= 1, "repair count must be >= 1");
-        assert!(k + r <= 256, "group + parity exceeds the GF(256) field");
-        let mut assignment: Vec<Option<usize>> = vec![None; n];
+        let mut assignment: Vec<Option<usize>> = vec![None; sizes.len()];
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut stripe = |members: &[usize], k: usize| {
             if members.is_empty() {
@@ -147,7 +113,7 @@ impl FecGroups {
             stripe(&protected[..head], k.div_ceil(2));
             stripe(&protected[head..], k);
         } else {
-            stripe(protected, k);
+            stripe(&protected, k);
         }
         // Every group gets the same repair depth, capped so tiny groups
         // never carry more parity than members (r extra equations beyond
@@ -220,64 +186,18 @@ impl FecGroups {
     }
 }
 
-/// XOR parity payload of one group: byte-wise XOR of all member payloads,
-/// each zero-padded to the longest member. This is parity row 0 of the
-/// Reed–Solomon code ([`crate::rs::RsCode::parity`]) — the `r = 1` wire
-/// format is the same code, not merely an equivalent one.
-pub fn xor_parity(payloads: &[&[u8]]) -> Vec<u8> {
-    let len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut parity = vec![0u8; len];
-    for p in payloads {
-        for (slot, &b) in parity.iter_mut().zip(p.iter()) {
-            *slot ^= b;
-        }
-    }
-    parity
-}
-
-/// Recovers the single lost member of a parity group byte-identically:
-/// XORs the parity with every *surviving* member payload (in any order —
-/// XOR commutes, which is what makes recovery deterministic under
-/// reordered delivery) and truncates to the lost packet's known length.
-/// The caller must have deduplicated packets by index first.
-///
-/// Shape violations are typed errors rather than panics: a survivor or
-/// claimed lost length exceeding the parity payload means the caller's
-/// accounting is corrupt, and the group must fall to repair/refetch.
-pub fn xor_recover(
-    survivors: &[&[u8]],
-    parity: &[u8],
-    lost_len: usize,
-) -> Result<Vec<u8>, FecError> {
-    if lost_len > parity.len() {
-        return Err(FecError::LostLenExceedsParity {
-            lost_len,
-            parity_len: parity.len(),
-        });
-    }
-    let mut out = parity.to_vec();
-    for p in survivors {
-        if p.len() > out.len() {
-            return Err(FecError::SurvivorExceedsParity {
-                len: p.len(),
-                parity_len: out.len(),
-            });
-        }
-        for (slot, &b) in out.iter_mut().zip(p.iter()) {
-            *slot ^= b;
-        }
-    }
-    out.truncate(lost_len);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `n` equal-sized packets: nothing is a size outlier.
+    fn flat(n: usize, k: usize, r: usize, tiered: bool) -> FecGroups {
+        FecGroups::new(&vec![100; n], k, r, tiered)
+    }
+
     #[test]
     fn striping_bounds_group_size_and_spreads_bursts() {
-        let fec = FecGroups::striped(10, 4);
+        let fec = flat(10, 4, 1, false);
         assert_eq!(fec.num_groups(), 3); // ceil(10/4)
         for j in 0..fec.num_groups() {
             assert!(fec.members(j).len() <= 4);
@@ -294,7 +214,7 @@ mod tests {
 
     #[test]
     fn multi_parity_striping_counts_repairs() {
-        let fec = FecGroups::striped_rs(10, 4, 2);
+        let fec = flat(10, 4, 2, false);
         assert_eq!(fec.num_groups(), 3);
         assert!((0..3).all(|j| fec.repairs_of(j) == 2));
         assert_eq!(fec.num_parity_packets(), 6);
@@ -302,13 +222,13 @@ mod tests {
         let sizes = [10u64; 10];
         assert_eq!(fec.parity_bytes(&sizes), 60);
         // Tiny groups never carry more parity than members.
-        let tiny = FecGroups::striped_rs(2, 1, 3);
+        let tiny = flat(2, 1, 3, false);
         assert!((0..tiny.num_groups()).all(|j| tiny.repairs_of(j) == 1));
     }
 
     #[test]
     fn tiered_striping_protects_the_head_denser() {
-        let fec = FecGroups::striped_tiered(20, 8);
+        let fec = flat(20, 8, 1, true);
         // Head 10 packets at k=4 → 3 groups; tail 10 at k=8 → 2 groups.
         assert_eq!(fec.num_groups(), 5);
         assert!((0..10).all(|i| fec.group_of(i).unwrap() < 3));
@@ -324,13 +244,13 @@ mod tests {
         // packets: the head is excluded, everyone else striped.
         let mut sizes = vec![3000u64];
         sizes.extend(std::iter::repeat_n(300u64, 9));
-        let fec = FecGroups::striped_sized(&sizes, 4, true);
+        let fec = FecGroups::new(&sizes, 4, 1, true);
         assert_eq!(fec.group_of(0), None, "outlier unprotected");
         assert!((1..10).all(|i| fec.group_of(i).is_some()));
         // Parity never pays the outlier's bytes.
         assert!(fec.parity_sizes(&sizes).iter().all(|&p| p == 300));
         // Uniform sizes: nothing excluded.
-        let uniform = FecGroups::striped_sized(&[250u64; 8], 4, false);
+        let uniform = FecGroups::new(&[250u64; 8], 4, 1, false);
         assert!((0..8).all(|i| uniform.group_of(i).is_some()));
     }
 
@@ -340,14 +260,14 @@ mod tests {
         // median is 100, so the 500 B packets (5× median) are outliers.
         // The old upper-median code took 500 and protected everything.
         let even = [500u64, 100, 500, 100];
-        let fec = FecGroups::striped_sized(&even, 2, false);
+        let fec = FecGroups::new(&even, 2, 1, false);
         assert_eq!(fec.group_of(0), None);
         assert_eq!(fec.group_of(2), None);
         assert!(fec.group_of(1).is_some() && fec.group_of(3).is_some());
         // Odd length: the true median (middle element) is unambiguous
         // and unchanged by the fix.
         let odd = [100u64, 100, 100, 500, 500];
-        let fec = FecGroups::striped_sized(&odd, 2, false);
+        let fec = FecGroups::new(&odd, 2, 1, false);
         assert!((0..3).all(|i| fec.group_of(i).is_some()));
         assert_eq!(fec.group_of(3), None);
         assert_eq!(fec.group_of(4), None);
@@ -356,11 +276,7 @@ mod tests {
     #[test]
     fn every_protected_packet_is_in_exactly_one_group() {
         for (n, k, tiered) in [(1, 1, false), (7, 3, false), (23, 5, true), (2, 9, true)] {
-            let fec = if tiered {
-                FecGroups::striped_tiered(n, k)
-            } else {
-                FecGroups::striped(n, k)
-            };
+            let fec = flat(n, k, 1, tiered);
             let mut seen = vec![false; n];
             for j in 0..fec.num_groups() {
                 assert!(!fec.members(j).is_empty(), "group {j} empty");
@@ -376,57 +292,21 @@ mod tests {
 
     #[test]
     fn parity_sizes_cover_the_longest_member() {
-        let fec = FecGroups::striped(4, 2); // stride 2: {0,2}, {1,3}
+        let fec = flat(4, 2, 1, false); // stride 2: {0,2}, {1,3}
         let sizes = [10u64, 500, 30, 7];
         assert_eq!(fec.parity_sizes(&sizes), vec![30, 500]);
         assert_eq!(fec.parity_bytes(&sizes), 530);
     }
 
     #[test]
-    fn xor_recovers_any_single_loss_byte_identically() {
-        let a: Vec<u8> = (0..50).collect();
-        let b: Vec<u8> = (0..20).map(|x| x * 3).collect();
-        let c: Vec<u8> = (0..35).map(|x| 255 - x).collect();
-        let parity = xor_parity(&[&a, &b, &c]);
-        assert_eq!(parity.len(), 50);
-        assert_eq!(xor_recover(&[&b, &c], &parity, a.len()).unwrap(), a);
-        assert_eq!(xor_recover(&[&a, &c], &parity, b.len()).unwrap(), b);
-        assert_eq!(
-            xor_recover(&[&c, &a], &parity, b.len()).unwrap(),
-            b,
-            "order-free"
-        );
-    }
-
-    #[test]
-    fn xor_recover_shape_violations_are_typed_errors() {
-        let parity = xor_parity(&[&[1u8, 2][..], &[3u8, 4][..]]);
-        let long = [9u8; 5];
-        assert_eq!(
-            xor_recover(&[&long], &parity, 2),
-            Err(crate::rs::FecError::SurvivorExceedsParity {
-                len: 5,
-                parity_len: 2
-            })
-        );
-        assert_eq!(
-            xor_recover(&[], &parity, 9),
-            Err(crate::rs::FecError::LostLenExceedsParity {
-                lost_len: 9,
-                parity_len: 2
-            })
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "group size must be >= 1")]
     fn zero_k_rejected() {
-        let _ = FecGroups::striped(4, 0);
+        let _ = flat(4, 0, 1, false);
     }
 
     #[test]
     #[should_panic(expected = "repair count must be >= 1")]
     fn zero_r_rejected() {
-        let _ = FecGroups::striped_rs(4, 2, 0);
+        let _ = flat(4, 2, 0, false);
     }
 }

@@ -5,7 +5,7 @@
 //! Parity symbol `j` is the GF(256) linear combination
 //! `p_j[b] = Σ_i c[j][i] · d_i[b]` applied independently to every byte
 //! position `b` (shorter members are implicitly zero-padded to the
-//! longest, exactly like the XOR path). Because the code is *systematic*,
+//! longest). Because the code is *systematic*,
 //! data packets travel unmodified and `r = 0..` parity is pure overhead —
 //! losing no packet costs zero decode work.
 //!
@@ -30,10 +30,9 @@
 //!   `m` surviving symbols out of `m + r` reconstruct the group: `r`
 //!   parity packets tolerate any `r` losses, data or parity alike.
 //! * **`r = 1` ≡ XOR** — row 0 being all-ones makes the first parity
-//!   packet the byte-wise XOR of the members, bit-identical to the PR 5
-//!   [`crate::fec::xor_parity`] wire format. The single-parity
-//!   configuration is therefore not merely equivalent but *the same
-//!   code*, and the proptests pin it byte-for-byte.
+//!   packet the byte-wise XOR of the members, so the single-parity
+//!   configuration is plain XOR parity. A stored-bytes fixture pins row
+//!   0 and single-loss recovery byte for byte (the FEC wire-compat gate).
 //!
 //! Recovery solves the `s × s` system (`s` = lost data packets) given by
 //! any `s` surviving parity rows via Gauss–Jordan elimination — order-free
@@ -43,10 +42,9 @@
 
 use crate::gf256;
 
-/// Typed failure modes of the erasure layer. These replace the silent
-/// zero-padding / `assert!` edge cases the XOR path shipped with: shape
-/// violations a caller can hit at runtime (loss patterns, truncated
-/// payloads) are reported, not panicked.
+/// Typed failure modes of the erasure layer: shape violations a caller
+/// can hit at runtime (loss patterns, truncated payloads) are reported,
+/// not panicked.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FecError {
     /// Group shape outside GF(256) limits: `m = 0`, `r = 0`, or
@@ -71,13 +69,6 @@ pub enum FecError {
     SurvivorExceedsParity {
         /// Length of the offending survivor payload.
         len: usize,
-        /// Parity payload width it exceeds.
-        parity_len: usize,
-    },
-    /// The claimed lost-packet length exceeds the parity payload.
-    LostLenExceedsParity {
-        /// Claimed length of the lost packet.
-        lost_len: usize,
         /// Parity payload width it exceeds.
         parity_len: usize,
     },
@@ -111,14 +102,6 @@ impl std::fmt::Display for FecError {
                 f,
                 "survivor payload ({len} B) exceeds parity payload \
                  ({parity_len} B)"
-            ),
-            FecError::LostLenExceedsParity {
-                lost_len,
-                parity_len,
-            } => write!(
-                f,
-                "lost packet ({lost_len} B) cannot exceed the parity \
-                 payload ({parity_len} B)"
             ),
             FecError::ParityWidthMismatch { expected, got } => write!(
                 f,
@@ -178,7 +161,7 @@ impl RsCode {
 
     /// Encodes the `r` parity payloads for one group. Each parity payload
     /// is as long as the *longest* member (shorter members count as
-    /// zero-padded). Parity row 0 is exactly [`crate::fec::xor_parity`].
+    /// zero-padded). Parity row 0 is the byte-wise XOR of the members.
     ///
     /// # Panics
     /// If `payloads.len() != m` — group membership is sender-side static,
@@ -214,8 +197,7 @@ impl RsCode {
     /// lost ones; `parity[j]` likewise for the `r` parity payloads. Any
     /// `s ≤ |surviving parity|` data losses are solvable (MDS). Returns
     /// `(data_index, payload)` pairs with payloads at full parity width —
-    /// the caller truncates to each packet's known length, exactly as
-    /// with [`crate::fec::xor_recover`].
+    /// the caller truncates to each packet's known length.
     ///
     /// # Panics
     /// If `data.len() != m` or `parity.len() != r` (static shape).
@@ -338,7 +320,6 @@ fn invert(mut a: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, FecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fec::xor_parity;
 
     fn payloads() -> Vec<Vec<u8>> {
         vec![
@@ -349,13 +330,38 @@ mod tests {
         ]
     }
 
+    /// Stored wire fixture for single-parity groups: three members of
+    /// unequal length and their parity row 0, written out byte by byte
+    /// as the XOR of the zero-padded members.
+    const FIXTURE_DATA: [&[u8]; 3] = [
+        &[0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77],
+        &[0xA5, 0x5A, 0xFF, 0x01, 0x80],
+        &[0x0F, 0xF0, 0x3C, 0xC3, 0x99, 0x66],
+    ];
+    const FIXTURE_PARITY: [u8; 8] = [0xAA, 0xBB, 0xE1, 0xF1, 0x5D, 0x33, 0x66, 0x77];
+
     #[test]
     fn first_parity_row_is_exactly_xor() {
-        let data = payloads();
-        let refs: Vec<&[u8]> = data.iter().map(|p| p.as_slice()).collect();
+        // Row 0 is the stored XOR bytes whatever the parity depth.
         for r in 1..=4 {
-            let code = RsCode::new(refs.len(), r).unwrap();
-            assert_eq!(code.parity(&refs)[0], xor_parity(&refs), "r = {r}");
+            let code = RsCode::new(FIXTURE_DATA.len(), r).unwrap();
+            assert_eq!(code.parity(&FIXTURE_DATA)[0], FIXTURE_PARITY, "r = {r}");
+        }
+        // r = 1 recovers any single lost member from the stored parity
+        // alone, back to its original bytes (zero-padded to the width).
+        let code = RsCode::new(FIXTURE_DATA.len(), 1).unwrap();
+        for (lost, want) in FIXTURE_DATA.iter().enumerate() {
+            let shards: Vec<Option<&[u8]>> = FIXTURE_DATA
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| (i != lost).then_some(d))
+                .collect();
+            let got = code.recover(&shards, &[Some(&FIXTURE_PARITY)]).unwrap();
+            assert_eq!(got.len(), 1);
+            let (index, payload) = &got[0];
+            assert_eq!(*index, lost);
+            assert_eq!(&payload[..want.len()], *want, "lost member {lost}");
+            assert!(payload[want.len()..].iter().all(|&b| b == 0));
         }
     }
 

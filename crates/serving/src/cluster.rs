@@ -65,9 +65,10 @@ pub struct ServingConfig {
     /// policy takes over (per-packet-fault links only).
     pub retransmit_budget: usize,
     /// Default forward-error-correction parity density on store→shard
-    /// links: XOR parity recovers single-loss groups before the
-    /// retransmit budget or the repair/refetch ladder is consulted, so a
-    /// lossy link stops flooding the shard queues with re-fetch entries.
+    /// links: erasure parity recovers groups that lost no more packets
+    /// than they carry parity for, before the retransmit budget or the
+    /// repair/refetch ladder is consulted, so a lossy link stops flooding
+    /// the shard queues with re-fetch entries.
     pub fec_overhead: FecOverhead,
     /// Per-tenant FEC overrides (`tenant_fec[t] = Some(knob)`), letting
     /// tenants buy more (or less) parity than the cluster default. The
@@ -933,17 +934,17 @@ mod tests {
     #[test]
     fn fec_for_resolves_degraded_then_tenant_then_default() {
         let cfg = ServingConfig {
-            fec_overhead: FecOverhead::Uniform(8),
-            tenant_fec: vec![None, Some(FecOverhead::Uniform(4)), None],
+            fec_overhead: FecOverhead::Fixed { k: 8, r: 1 },
+            tenant_fec: vec![None, Some(FecOverhead::Fixed { k: 4, r: 1 }), None],
             degraded_fec: Some(FecOverhead::Off),
             ..ServingConfig::default()
         };
         // Normal admission: tenant override wins, else the cluster default.
-        assert_eq!(cfg.fec_for(0, false), &FecOverhead::Uniform(8));
-        assert_eq!(cfg.fec_for(1, false), &FecOverhead::Uniform(4));
+        assert_eq!(cfg.fec_for(0, false), &FecOverhead::Fixed { k: 8, r: 1 });
+        assert_eq!(cfg.fec_for(1, false), &FecOverhead::Fixed { k: 4, r: 1 });
         assert_eq!(
             cfg.fec_for(3, false),
-            &FecOverhead::Uniform(8),
+            &FecOverhead::Fixed { k: 8, r: 1 },
             "past the table"
         );
         // Degraded admission: parity shrinks regardless of tenant knob.
@@ -951,10 +952,10 @@ mod tests {
         assert_eq!(cfg.fec_for(1, true), &FecOverhead::Off);
         // Without a degraded override, degraded batches keep their knob.
         let keep = ServingConfig {
-            tenant_fec: vec![Some(FecOverhead::Uniform(4))],
+            tenant_fec: vec![Some(FecOverhead::Fixed { k: 4, r: 1 })],
             ..ServingConfig::default()
         };
-        assert_eq!(keep.fec_for(0, true), &FecOverhead::Uniform(4));
+        assert_eq!(keep.fec_for(0, true), &FecOverhead::Fixed { k: 4, r: 1 });
     }
 
     #[test]
@@ -965,13 +966,13 @@ mod tests {
         // shrinks parity depth (r = 2 → 1) instead of dropping FEC outright.
         let cfg = ServingConfig {
             fec_overhead: FecOverhead::adaptive_default(),
-            tenant_fec: vec![Some(FecOverhead::Rs { k: 10, r: 2 })],
-            degraded_fec: Some(FecOverhead::Rs { k: 10, r: 1 }),
+            tenant_fec: vec![Some(FecOverhead::Fixed { k: 10, r: 2 })],
+            degraded_fec: Some(FecOverhead::Fixed { k: 10, r: 1 }),
             ..ServingConfig::default()
         };
         assert_eq!(
             cfg.fec_for(0, false),
-            &FecOverhead::Rs { k: 10, r: 2 },
+            &FecOverhead::Fixed { k: 10, r: 2 },
             "tenant pins full double-parity RS"
         );
         assert_eq!(
@@ -981,7 +982,7 @@ mod tests {
         );
         // Degraded admission keeps the erasure code but sheds one repair
         // symbol per group — cheaper than r = 2, stronger than Off.
-        assert_eq!(cfg.fec_for(0, true), &FecOverhead::Rs { k: 10, r: 1 });
+        assert_eq!(cfg.fec_for(0, true), &FecOverhead::Fixed { k: 10, r: 1 });
         let (k, r) = cfg
             .fec_for(0, true)
             .params_for(0, None)

@@ -55,8 +55,8 @@ pub struct StreamParams<'a> {
     /// wire order; any parity group that loses no more data packets than
     /// it has surviving parity packets is recovered at the receiver
     /// *before* the retransmit budget or the repair policies are
-    /// consulted (`r = 1` XOR for the fixed policies, Reed–Solomon
-    /// `r ≥ 2` for [`FecOverhead::Rs`]/[`FecOverhead::Adaptive`]).
+    /// consulted (Reed–Solomon parity, `r` rows per group; `r = 1` is
+    /// plain XOR).
     /// [`FecOverhead::Adaptive`] re-picks `(k, r)` before every chunk
     /// from an EWMA of the previous chunks' observed channel loss.
     /// [`FecOverhead::Off`] reproduces the pre-FEC transport bit for bit.
@@ -150,7 +150,7 @@ impl StreamOutcome {
         self.chunks.iter().map(|c| c.retransmits).sum()
     }
 
-    /// Packets recovered by XOR parity across all chunks.
+    /// Packets recovered by erasure parity across all chunks.
     pub fn fec_recovered_packets(&self) -> usize {
         self.chunks.iter().map(|c| c.fec_recovered.len()).sum()
     }
@@ -1002,7 +1002,7 @@ mod tests {
             simulate_stream(&plan, &mut link, &p)
         };
         let off = run(FecOverhead::Off);
-        let on = run(FecOverhead::Uniform(2));
+        let on = run(FecOverhead::Fixed { k: 2, r: 1 });
         assert!(off.lost_packets() > 0, "8% loss over 16 packets (seeded)");
         assert_eq!(off.parity_bytes(), 0);
         assert_eq!(off.fec_recovered_packets(), 0);
@@ -1044,7 +1044,7 @@ mod tests {
             simulate_stream(&plan, &mut link, &p)
         };
         let off = run(FecOverhead::Off);
-        let on = run(FecOverhead::Uniform(2));
+        let on = run(FecOverhead::Fixed { k: 2, r: 1 });
         assert_eq!(off.lost_packets(), 0, "infinite budget recovers all");
         assert_eq!(on.lost_packets(), 0);
         assert!(
@@ -1081,8 +1081,8 @@ mod tests {
         let mut xor_lost = 0usize;
         let mut rs_lost = 0usize;
         for seed in 0..64 {
-            let xor = run(FecOverhead::Uniform(4), seed);
-            let rs = run(FecOverhead::Rs { k: 4, r: 2 }, seed);
+            let xor = run(FecOverhead::Fixed { k: 4, r: 1 }, seed);
+            let rs = run(FecOverhead::Fixed { k: 4, r: 2 }, seed);
             assert_eq!(rs.retransmits(), 0);
             xor_lost += xor.lost_packets();
             rs_lost += rs.lost_packets();

@@ -14,8 +14,8 @@
 //! * [`schedule`] — the anchor-group-aligned, priority-ordered packet
 //!   schedule a lossy link delivers chunk by chunk (early token groups
 //!   and shallow layers first), including the per-level FEC parity
-//!   density ([`FecOverhead`]: XOR, fixed Reed–Solomon `(k, r)`, or
-//!   loss-adaptive) and the parity-interleaved wire order.
+//!   density ([`FecOverhead`]: fixed Reed–Solomon `(k, r)`, per-level
+//!   single parity, or loss-adaptive) and the parity-interleaved wire order.
 //! * [`adapter`] — Algorithm 1 plus the virtual-time streaming simulation
 //!   (transfer pipelined with decode, §6), concurrent-request batching
 //!   (Figure 12), and packetized delivery with parity FEC recovery (any

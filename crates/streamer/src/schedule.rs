@@ -2,7 +2,7 @@
 //! ships, in what priority order, at what byte sizes.
 //!
 //! The codec splits every stream chunk into independently decodable
-//! per-(layer, token-group) entropy chunks (wire v2, §5.2). The transport
+//! per-(layer, token-group) entropy chunks (§5.2). The transport
 //! sends each as its own packet, so a damaged or late packet degrades only
 //! its own token range. The schedule fixes two contracts:
 //!
@@ -19,13 +19,15 @@
 //! ([`cachegen_net::FecGroups`]): parity rides right after its group's
 //! last data packet and before the next group's tail, so a group becomes
 //! recoverable the moment enough of its members plus parity have landed.
-//! Repair packet 0 is the XOR row (bit-identical to the PR 5 wire);
-//! repair packets `1..r` are Reed–Solomon rows, staggered across wire
-//! slots so a burst cannot claim one group's whole parity budget in
-//! adjacent packets. [`FecOverhead::Adaptive`] re-picks `(k, r)` before
-//! every chunk from the streamer's loss estimate.
+//! Repair packet 0 is the Reed–Solomon XOR row; repair packets `1..r`
+//! are the further Reed–Solomon rows, staggered across wire slots and
+//! spread across groups within a slot, so a burst cannot claim one
+//! group's whole parity budget in adjacent packets.
+//! [`FecOverhead::Adaptive`] re-picks `(k, r)` before every chunk from
+//! the streamer's loss estimate.
 
 use cachegen_net::FecGroups;
+use std::cmp::Reverse;
 
 /// One rung of the loss-adaptive FEC policy: the `(k, r)` parity shape
 /// used while the estimated channel loss stays at or below
@@ -75,7 +77,7 @@ impl AdaptiveFec {
     }
 
     /// The workspace default ladder: near-lossless channels pay ~7%
-    /// single-XOR parity, mild loss densifies the stripe, and past ~8%
+    /// single (XOR) parity, mild loss densifies the stripe, and past ~8%
     /// estimated loss the ladder switches to RS `r = 2` so double hits
     /// per group stay recoverable without a retransmit round trip.
     pub fn paper_default() -> Self {
@@ -127,27 +129,25 @@ pub enum FecOverhead {
     /// No parity packets (`k = ∞`): the wire output is bit-identical to
     /// the plain packetized transport.
     Off,
-    /// One XOR parity per `k` data packets at every encoding level,
-    /// striped uniformly across the schedule.
-    Uniform(usize),
-    /// `k` per encoding level, finest first (the last entry is reused for
-    /// deeper levels). Within each schedule the head half of the priority
-    /// order — early token groups, shallow layers, the container-bearing
-    /// head packet — is protected at the denser `ceil(k / 2)`
-    /// ([`FecGroups::striped_tiered`]): the packets the first generated
-    /// tokens attend to hardest carry the most redundancy.
-    PerLevel(Vec<usize>),
-    /// Fixed multi-erasure Reed–Solomon parity: `r` repair packets per
-    /// group of at most `k` data packets, striped uniformly. Any `r`
-    /// losses per group (data or parity) are recoverable; `r = 1` is
-    /// bit-identical to [`FecOverhead::Uniform`] (the RS code's first
-    /// parity row *is* the XOR row).
-    Rs {
+    /// The same `(k, r)` at every encoding level: `r` Reed–Solomon
+    /// repair packets per group of at most `k` data packets, striped
+    /// uniformly across the schedule. Any `r` losses per group (data or
+    /// parity) are recoverable; `r = 1` is plain XOR parity (the code's
+    /// first parity row is the XOR row).
+    Fixed {
         /// Parity group size.
         k: usize,
         /// Repair packets per group.
         r: usize,
     },
+    /// `k` per encoding level, finest first (the last entry is reused for
+    /// deeper levels), one (XOR) parity per group. Within each schedule
+    /// the head half of the priority order — early token groups, shallow
+    /// layers, the container-bearing head packet — is protected at the
+    /// denser `ceil(k / 2)` (`tiered` in [`FecGroups::new`]): the packets
+    /// the first generated tokens attend to hardest carry the most
+    /// redundancy.
+    PerLevel(Vec<usize>),
     /// Loss-rate-adaptive `(k, r)`: the streamer's [`cachegen_net::
     /// LossEstimator`] picks the rung before each chunk's schedule is
     /// built, so parity density follows the channel one chunk behind —
@@ -172,14 +172,6 @@ impl FecOverhead {
         FecOverhead::Adaptive(AdaptiveFec::paper_default())
     }
 
-    /// The parity group size at one encoding level (`None` = FEC off).
-    /// For [`FecOverhead::Adaptive`] this is the no-estimate (most
-    /// protective) rung; use [`FecOverhead::params_for`] with a live
-    /// loss estimate.
-    pub fn k_for_level(&self, level: usize) -> Option<usize> {
-        self.params_for(level, None).map(|(k, _)| k)
-    }
-
     /// The `(k, r)` parity shape at one encoding level under the given
     /// loss estimate (`None` estimate = first chunk / no data yet).
     /// Returns `None` when FEC is off. Only [`FecOverhead::Adaptive`]
@@ -187,34 +179,26 @@ impl FecOverhead {
     pub fn params_for(&self, level: usize, loss_permille: Option<u32>) -> Option<(usize, usize)> {
         match self {
             FecOverhead::Off => None,
-            FecOverhead::Uniform(k) => Some((*k, 1)),
+            FecOverhead::Fixed { k, r } => Some((*k, *r)),
             FecOverhead::PerLevel(ks) => {
                 assert!(!ks.is_empty(), "PerLevel needs at least one k");
                 Some((ks[level.min(ks.len() - 1)], 1))
             }
-            FecOverhead::Rs { k, r } => Some((*k, *r)),
             FecOverhead::Adaptive(ladder) => Some(ladder.params(loss_permille)),
         }
     }
 
     /// The parity grouping for a schedule with the given data packet
-    /// sizes at one level (`None` = FEC off), with no loss estimate —
-    /// see [`FecOverhead::groups_for_with_loss`].
-    pub fn groups_for(&self, level: usize, sizes: &[u64]) -> Option<FecGroups> {
-        self.groups_for_with_loss(level, sizes, None)
-    }
-
-    /// The parity grouping for a schedule with the given data packet
-    /// sizes at one level under the given loss estimate (`None` = FEC
-    /// off). Size outliers — e.g. the container-bearing head packet,
-    /// whose parity would cost as much as resending it — are left
-    /// unprotected and rely on the retransmit/repair/refetch rungs
-    /// ([`FecGroups::striped_sized`]). [`FecOverhead::Uniform`] and the
-    /// RS/adaptive policies stripe flat; [`FecOverhead::PerLevel`]
-    /// protects the head half denser. Single-packet schedules (the
-    /// whole-chunk fallback for analytic plans) get no parity for the
-    /// same reason outliers don't: their parity would be a full copy,
-    /// blowing the overhead envelope.
+    /// sizes at one level under the given loss estimate (`None` = no
+    /// estimate yet; the result is `None` when FEC is off). Size
+    /// outliers — e.g. the container-bearing head packet, whose parity
+    /// would cost as much as resending it — are left unprotected and rely
+    /// on the retransmit/repair/refetch rungs ([`FecGroups::new`]).
+    /// [`FecOverhead::Fixed`] and [`FecOverhead::Adaptive`] stripe flat;
+    /// [`FecOverhead::PerLevel`] protects the head half denser.
+    /// Single-packet schedules (the whole-chunk fallback for analytic
+    /// plans) get no parity for the same reason outliers don't: their
+    /// parity would be a full copy, blowing the overhead envelope.
     pub fn groups_for_with_loss(
         &self,
         level: usize,
@@ -226,8 +210,36 @@ impl FecOverhead {
             return None;
         }
         let tiered = matches!(self, FecOverhead::PerLevel(_));
-        Some(FecGroups::striped_sized_rs(sizes, k, r, tiered))
+        Some(FecGroups::new(sizes, k, r, tiered))
     }
+}
+
+/// Orders the `(repair index, group)` parities that share one wire slot
+/// so that one group's copies are kept apart: repeatedly emit the next
+/// parity of the group with the most parities left, never the group just
+/// emitted while another remains, ties going to the lowest `(index,
+/// group)`. This greedy order puts another group's parity between any
+/// two copies of a group unless that group holds more than `ceil(m / 2)`
+/// of the slot's `m` parities (then no order can); each group's copies
+/// keep ascending repair index, and a slot whose groups are all distinct
+/// stays in plain `(index, group)` order.
+fn spread_slot(mut slot: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+    slot.sort_unstable();
+    let mut out = Vec::with_capacity(slot.len());
+    let mut last = None;
+    while !slot.is_empty() {
+        let left = |g: usize| slot.iter().filter(|&&(_, h)| h == g).count();
+        // `slot` is sorted, so a group's first entry is its lowest index,
+        // and `Reverse(i)` makes ties go to the earliest entry.
+        let pick = (0..slot.len())
+            .filter(|&i| Some(slot[i].1) != last)
+            .max_by_key(|&i| (left(slot[i].1), Reverse(i)))
+            .unwrap_or(0);
+        let (t, g) = slot.remove(pick);
+        last = Some(g);
+        out.push((t, g));
+    }
+    out
 }
 
 /// One packet in a schedule's wire (send) order, parity included.
@@ -243,8 +255,8 @@ pub enum WirePacket {
         bytes: u64,
     },
     /// Parity packet `index` of FEC group `group` (sized to the group's
-    /// longest member). Index 0 is the XOR row; indices `1..r` are the
-    /// additional Reed–Solomon repair rows.
+    /// longest member): row `index` of the group's Reed–Solomon parity.
+    /// Row 0 is the XOR row.
     Parity {
         /// The parity group this packet protects.
         group: usize,
@@ -359,10 +371,12 @@ impl ChunkSchedule {
     /// group is recoverable as soon as its stripe has passed. Additional
     /// repair packets (`r > 1`) are staggered: parity `t` of a group
     /// rides `t` data slots after parity 0's anchor (clamped to the
-    /// schedule tail), and co-located parities are ordered
-    /// lowest-repair-index first across groups, so one group's `r`
-    /// copies never travel back-to-back — a wire burst has to span
-    /// multiple slots to claim a group's whole parity budget. With
+    /// schedule tail), and the parities sharing a slot are spread across
+    /// groups (`spread_slot`). Two parities of one group are therefore
+    /// adjacent on the wire only when that group holds more than
+    /// `ceil(m / 2)` of its slot's `m` parities, i.e. when no other
+    /// packet is left to put between them — a wire burst has to span
+    /// multiple packets to claim a group's parity budget. With
     /// `fec = None` this is exactly the data entries (bit-identical to
     /// the pre-FEC transport).
     pub fn wire_packets(&self, fec: Option<&FecGroups>) -> Vec<WirePacket> {
@@ -384,9 +398,7 @@ impl ChunkSchedule {
         );
         let sizes = self.packet_sizes();
         let parity_sizes = fec.parity_sizes(&sizes);
-        // Anchor parity t of group g after data slot last_member(g) + t;
-        // at a shared slot, emit all index-0 parities before index-1 etc.
-        // so same-group repair copies are maximally spread.
+        // Anchor parity t of group g after data slot last_member(g) + t.
         let n = self.entries.len();
         let mut parity_after: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         for g in 0..fec.num_groups() {
@@ -397,10 +409,9 @@ impl ChunkSchedule {
             }
         }
         let mut out = Vec::with_capacity(n + fec.num_parity_packets());
-        for (i, slot) in parity_after.iter_mut().enumerate() {
+        for (i, slot) in parity_after.into_iter().enumerate() {
             out.push(data(i));
-            slot.sort_unstable();
-            for &(t, g) in slot.iter() {
+            for (t, g) in spread_slot(slot) {
                 out.push(WirePacket::Parity {
                     group: g,
                     index: t,
@@ -492,7 +503,7 @@ mod tests {
             (0..6).map(|g| (id(g, 0, true), 100 + g as u64)).collect();
         let s = ChunkSchedule::priority_ordered(entries);
         // k=3 over 6 packets → stride 2: groups {0,2,4} and {1,3,5}.
-        let fec = cachegen_net::FecGroups::striped(6, 3);
+        let fec = FecGroups::new(&[100; 6], 3, 1, false);
         let wire = s.wire_packets(Some(&fec));
         assert_eq!(wire.len(), 8);
         // Group 0's last member is data index 4; group 1's is index 5.
@@ -517,33 +528,105 @@ mod tests {
         assert_eq!(fec.parity_sizes(&s.packet_sizes()), vec![104, 105]);
     }
 
+    /// Wire order for `n` equal-sized data packets under `(k, r)` parity.
+    fn flat_wire(n: usize, k: usize, r: usize, tiered: bool) -> (FecGroups, Vec<WirePacket>) {
+        let entries: Vec<(PacketId, u64)> = (0..n).map(|g| (id(g, 0, true), 100)).collect();
+        let fec = FecGroups::new(&vec![100; n], k, r, tiered);
+        let wire = ChunkSchedule::priority_ordered(entries).wire_packets(Some(&fec));
+        (fec, wire)
+    }
+
     #[test]
     fn multi_parity_wire_staggers_same_group_repairs() {
-        let entries: Vec<(PacketId, u64)> = (0..6).map(|g| (id(g, 0, true), 100)).collect();
-        let s = ChunkSchedule::priority_ordered(entries);
-        // k=3, r=2 over 6 packets → stride 2: groups {0,2,4}, {1,3,5},
-        // two repair packets each.
-        let fec = cachegen_net::FecGroups::striped_rs(6, 3, 2);
-        let wire = s.wire_packets(Some(&fec));
-        assert_eq!(wire.len(), 10);
-        // No group's two repair packets travel back-to-back.
-        for w in wire.windows(2) {
-            if let (WirePacket::Parity { group: a, .. }, WirePacket::Parity { group: b, .. }) =
-                (w[0], w[1])
-            {
-                assert_ne!(a, b, "same-group parities adjacent on the wire");
+        // k=3, r=2 over 6 packets → stride 2: groups {0,2,4}, {1,3,5}.
+        // Over 7 packets → stride 3: groups {0,3,6}, {1,4}, {2,5}, and
+        // the tail slot collects P0.0, P0.1 and P2.1, which must not put
+        // group 0's two parities back to back.
+        for n in [6, 7] {
+            let (fec, wire) = flat_wire(n, 3, 2, false);
+            assert_eq!(wire.len(), n + 2 * fec.num_groups());
+            // No group's two repair packets travel back-to-back.
+            for w in wire.windows(2) {
+                if let (WirePacket::Parity { group: a, .. }, WirePacket::Parity { group: b, .. }) =
+                    (w[0], w[1])
+                {
+                    assert_ne!(a, b, "n = {n}: same-group parities adjacent: {wire:?}");
+                }
+            }
+            // All parity emitted, each group exactly r times, index 0 first.
+            for g in 0..fec.num_groups() {
+                let idxs: Vec<usize> = wire
+                    .iter()
+                    .filter_map(|w| match *w {
+                        WirePacket::Parity { group, index, .. } if group == g => Some(index),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(idxs, vec![0, 1], "n = {n}, group {g}");
             }
         }
-        // All parity emitted, each group exactly r times, index 0 first.
-        for g in 0..2 {
-            let idxs: Vec<usize> = wire
-                .iter()
-                .filter_map(|w| match *w {
-                    WirePacket::Parity { group, index, .. } if group == g => Some(index),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(idxs, vec![0, 1], "group {g}");
+    }
+
+    proptest::proptest! {
+        /// The stagger invariant: within one slot (a maximal run of parity
+        /// packets between data packets), two parities of the same group
+        /// are adjacent only if that group holds more than `ceil(m / 2)`
+        /// of the slot's `m` parities — when no other packet could be
+        /// put between them. Every group also emits exactly its
+        /// `repairs_of` parities, in ascending index, after all of its
+        /// data members.
+        #[test]
+        fn same_group_parities_are_adjacent_only_when_unavoidable(
+            n in 1usize..65,
+            k_pick in 0usize..64,
+            r in 1usize..5,
+            tiered_pick in 0u8..2,
+        ) {
+            let (k, tiered) = (1 + k_pick % n, tiered_pick == 1);
+            let (fec, wire) = flat_wire(n, k, r, tiered);
+            let mut at = 0;
+            while at < wire.len() {
+                let end = (at..wire.len())
+                    .find(|&i| matches!(wire[i], WirePacket::Data { .. }))
+                    .unwrap_or(wire.len());
+                let slot: Vec<usize> = wire[at..end]
+                    .iter()
+                    .filter_map(|w| match *w {
+                        WirePacket::Parity { group, .. } => Some(group),
+                        WirePacket::Data { .. } => None,
+                    })
+                    .collect();
+                let m = slot.len();
+                for pair in slot.windows(2) {
+                    if pair[0] == pair[1] {
+                        let held = slot.iter().filter(|&&g| g == pair[0]).count();
+                        proptest::prop_assert!(
+                            held > m.div_ceil(2),
+                            "group {} holds {} of {} slot parities yet two are adjacent: {:?}",
+                            pair[0], held, m, wire
+                        );
+                    }
+                }
+                at = end + 1;
+            }
+            for g in 0..fec.num_groups() {
+                let positions: Vec<(usize, usize)> = wire
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(pos, w)| match *w {
+                        WirePacket::Parity { group, index, .. } if group == g => Some((pos, index)),
+                        _ => None,
+                    })
+                    .collect();
+                let idxs: Vec<usize> = positions.iter().map(|&(_, t)| t).collect();
+                proptest::prop_assert_eq!(idxs, (0..fec.repairs_of(g)).collect::<Vec<_>>());
+                let last_member = fec.members(g).last().copied().unwrap_or(0);
+                let last_data = wire
+                    .iter()
+                    .position(|w| matches!(*w, WirePacket::Data { index, .. } if index == last_member))
+                    .unwrap_or(0);
+                proptest::prop_assert!(positions.iter().all(|&(pos, _)| pos > last_data));
+            }
         }
     }
 
@@ -561,11 +644,11 @@ mod tests {
         assert_eq!(fec.params_for(0, Some(1000)), Some((12, 2)));
         // Fixed policies ignore the estimate.
         assert_eq!(
-            FecOverhead::Rs { k: 9, r: 3 }.params_for(0, Some(0)),
+            FecOverhead::Fixed { k: 9, r: 3 }.params_for(0, Some(0)),
             Some((9, 3))
         );
         assert_eq!(
-            FecOverhead::Uniform(5).params_for(2, Some(900)),
+            FecOverhead::Fixed { k: 5, r: 1 }.params_for(2, Some(900)),
             Some((5, 1))
         );
         // Grouping honours (k, r).
@@ -594,12 +677,16 @@ mod tests {
     #[test]
     fn fec_overhead_selects_k_per_level() {
         let fec = FecOverhead::PerLevel(vec![4, 8]);
-        assert_eq!(fec.k_for_level(0), Some(4));
-        assert_eq!(fec.k_for_level(1), Some(8));
-        assert_eq!(fec.k_for_level(9), Some(8), "last entry reused");
-        assert_eq!(FecOverhead::Off.k_for_level(0), None);
-        assert!(FecOverhead::Off.groups_for(0, &[100; 10]).is_none());
-        let g = FecOverhead::Uniform(5).groups_for(3, &[100; 10]).unwrap();
+        assert_eq!(fec.params_for(0, None), Some((4, 1)));
+        assert_eq!(fec.params_for(1, None), Some((8, 1)));
+        assert_eq!(fec.params_for(9, None), Some((8, 1)), "last entry reused");
+        assert_eq!(FecOverhead::Off.params_for(0, None), None);
+        assert!(FecOverhead::Off
+            .groups_for_with_loss(0, &[100; 10], None)
+            .is_none());
+        let g = FecOverhead::Fixed { k: 5, r: 1 }
+            .groups_for_with_loss(3, &[100; 10], None)
+            .unwrap();
         assert_eq!(g.num_groups(), 2);
     }
 
@@ -617,25 +704,5 @@ mod tests {
         // Shrinking below len() bottoms out at one byte per packet.
         s.shrink_to(0);
         assert_eq!(s.total_bytes(), 3);
-    }
-}
-
-#[cfg(test)]
-mod scratch_verify {
-    use super::*;
-    fn id(group: usize, layer: usize, is_k: bool) -> PacketId {
-        PacketId { group, layer, is_k }
-    }
-    #[test]
-    fn stagger_n7_k3_r2_back_to_back_check() {
-        let entries: Vec<(PacketId, u64)> = (0..7).map(|g| (id(g, 0, true), 100)).collect();
-        let s = ChunkSchedule::priority_ordered(entries);
-        let fec = cachegen_net::FecGroups::striped_rs(7, 3, 2);
-        let wire = s.wire_packets(Some(&fec));
-        for w in wire.windows(2) {
-            if let (WirePacket::Parity { group: a, .. }, WirePacket::Parity { group: b, .. }) = (w[0], w[1]) {
-                assert_ne!(a, b, "same-group parities adjacent: wire = {wire:?}");
-            }
-        }
     }
 }

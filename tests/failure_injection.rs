@@ -4,11 +4,11 @@
 //! chance` options: the system must degrade predictably, never panic on
 //! malformed input, and keep its accounting consistent under faults.
 
-use cachegen::{load_context, CacheGenEngine, EngineConfig, LoadParams};
+use cachegen::{load_context, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
 use cachegen_codec::EncodedKv;
 use cachegen_llm::SimModelConfig;
 use cachegen_net::trace::{BandwidthTrace, GBPS};
-use cachegen_net::Link;
+use cachegen_net::{Link, PacketFaults};
 use cachegen_streamer::AdaptPolicy;
 use cachegen_workloads::{workload_rng, Dataset};
 
@@ -24,17 +24,35 @@ fn engine() -> (CacheGenEngine, Vec<usize>) {
     (engine, ctx)
 }
 
-/// A 20%-loss, 20%-jitter goodput-derated link slows the stream but the
-/// load still completes and the cache is intact (the legacy fault model:
-/// loss shows up as implicit-retransmission delay, never damage).
+/// Recovery settings that leave no residual hole: erasure parity first
+/// (the adaptive `(k, r)` ladder), then a refetch of whatever parity
+/// could not rebuild, so the final cache is decoded from real bits only.
+fn hole_free(base: LoadParams) -> LoadParams {
+    LoadParams {
+        repair: RepairPolicy::Refetch,
+        fec_overhead: FecOverhead::adaptive_default(),
+        ..base
+    }
+}
+
+/// A link with 20% packet loss and 20% reordered (late-arriving) packets
+/// slows the stream, but the load still completes and, once FEC and the
+/// refetch pass have run, the cache is bit-identical to the clean load:
+/// loss shows up as delay, never as damage.
 #[test]
 fn lossy_jittery_link_still_completes() {
     let (engine, ctx) = engine();
     let cache = engine.calculate_kv(&ctx);
+    let params = hole_free(LoadParams::default());
     let mut clean = Link::new(BandwidthTrace::constant(GBPS), 0.0);
-    let t_clean = load_context(&engine, &cache, &mut clean, &LoadParams::default());
-    let mut lossy = Link::new(BandwidthTrace::constant(GBPS), 0.0).derate_goodput(0.2, 0.2, 77);
-    let t_lossy = load_context(&engine, &cache, &mut lossy, &LoadParams::default());
+    let t_clean = load_context(&engine, &cache, &mut clean, &params);
+    let faults = PacketFaults {
+        loss: 0.2,
+        reorder: 0.2,
+        ..PacketFaults::none()
+    };
+    let mut lossy = Link::new(BandwidthTrace::constant(GBPS), 0.0).with_packet_faults(faults, 77);
+    let t_lossy = load_context(&engine, &cache, &mut lossy, &params);
     assert_eq!(t_lossy.cache.tokens(), ctx.len());
     assert!(
         t_lossy.stream.finish > t_clean.stream.finish,
@@ -42,35 +60,36 @@ fn lossy_jittery_link_still_completes() {
         t_lossy.stream.finish,
         t_clean.stream.finish
     );
+    assert!(!t_lossy.fec_recovered.is_empty(), "20% loss exercises FEC");
     // Delivered payload is identical — loss shows up as delay, not damage.
+    assert_eq!(t_lossy.repaired_fraction, 0.0, "no residual holes");
     assert_eq!(t_lossy.cache, t_clean.cache);
-    assert!(
-        t_lossy.repairs.is_empty(),
-        "derated links never leave holes"
-    );
 }
 
-/// The adapter still meets the SLO on a lossy link by downshifting harder.
+/// The adapter still meets the SLO on a 30%-loss link by downshifting
+/// harder, and the recovery ladder leaves no residual hole.
 #[test]
 fn adapter_compensates_for_loss() {
     let (engine, ctx) = engine();
     let cache = engine.calculate_kv(&ctx);
     let (_, plan) = engine.encode_context(&cache);
     let bw = plan.total_bytes_at_level(0) as f64 * 8.0 / 0.9; // level 0 ≈ 0.9 s clean
-    let p = LoadParams {
+    let p = hole_free(LoadParams {
         slo: Some(1.0),
         policy: AdaptPolicy::Adaptive,
         prior_throughput_bps: Some(bw * 0.5), // conservative prior
         recompute_sec_per_token: 0.5,
         ..LoadParams::default()
-    };
-    let mut lossy = Link::new(BandwidthTrace::constant(bw), 0.0).derate_goodput(0.3, 0.0, 5);
+    });
+    let mut lossy =
+        Link::new(BandwidthTrace::constant(bw), 0.0).with_packet_faults(PacketFaults::loss(0.3), 5);
     let out = load_context(&engine, &cache, &mut lossy, &p);
     assert!(
         out.stream.slo_met,
         "adapter should absorb 30% loss: finish {}",
         out.stream.finish
     );
+    assert_eq!(out.repaired_fraction, 0.0, "no residual holes");
 }
 
 /// On a per-packet-fault link, holes are repaired — the load completes at
@@ -78,8 +97,6 @@ fn adapter_compensates_for_loss() {
 /// cache contains no undecoded noise.
 #[test]
 fn packet_loss_degrades_instead_of_stalling() {
-    use cachegen::RepairPolicy;
-    use cachegen_net::PacketFaults;
     let (engine, ctx) = engine();
     let cache = engine.calculate_kv(&ctx);
     let mut clean = Link::new(BandwidthTrace::constant(GBPS), 0.0);

@@ -1,13 +1,11 @@
-//! Property and acceptance tests for the FEC subsystem (XOR fast path
-//! and the GF(256) Reed–Solomon multi-erasure layer):
+//! Property and acceptance tests for the FEC subsystem (the GF(256)
+//! Reed–Solomon erasure code, `r = 1` being plain XOR parity):
 //!
 //! (a) any *single* loss per parity group is recovered byte-identically
-//!     (pure XOR over the survivors, truncated to the lost length), and
-//!     any ≤ r losses per group under RS parity;
+//!     from one parity packet, and any ≤ r losses per group from r;
 //! (a') GF(256) field axioms (associativity, commutativity,
 //!     distributivity, mul/inv round trip) and the r = 1 ≡ XOR pinning:
-//!     single-parity RS is the PR 5 XOR wire format, bit for bit, at the
-//!     byte level *and* at the delivery level;
+//!     single-parity RS reproduces a stored XOR fixture byte for byte;
 //! (a'') the interleaver burst-coverage bound: a burst of ≤ stride·r
 //!     consecutive protected packets never exceeds r losses in any
 //!     group — every burst that short is FEC-recoverable by
@@ -26,7 +24,6 @@
 
 use cachegen::{load_context, CacheGenEngine, EngineConfig, FecOverhead, LoadParams, RepairPolicy};
 use cachegen_llm::SimModelConfig;
-use cachegen_net::fec::{xor_parity, xor_recover};
 use cachegen_net::{gf256, BandwidthTrace, FecGroups, Link, PacketFaults, RsCode};
 use cachegen_streamer::{deliver_schedule, AdaptPolicy, ChunkSchedule, PacketId};
 use cachegen_workloads::{workload_rng, Dataset};
@@ -34,8 +31,19 @@ use proptest::prelude::*;
 use rand::Rng;
 
 // ---------------------------------------------------------------------
-// (a) + (b): byte-level XOR recovery properties.
+// (a) + (b): byte-level single-parity recovery properties.
 // ---------------------------------------------------------------------
+
+/// Recovers the one lost member of a single-parity (`r = 1`) group from
+/// the survivors present in `data` (by index) and the group's parity,
+/// truncated to the lost packet's known length.
+fn recover_r1(code: &RsCode, data: &[Option<&[u8]>], parity: &[u8], lost_len: usize) -> Vec<u8> {
+    let mut got = code.recover(data, &[Some(parity)]).unwrap();
+    assert_eq!(got.len(), 1, "exactly one member was lost");
+    let mut payload = got.remove(0).1;
+    payload.truncate(lost_len);
+    payload
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -53,22 +61,20 @@ proptest! {
             .map(|&n| (0..n).map(|_| rng.gen::<u8>()).collect())
             .collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let parity = xor_parity(&refs);
+        let code = RsCode::new(refs.len(), 1).unwrap();
+        let parity = code.parity(&refs).remove(0);
         for (lost, want) in payloads.iter().enumerate() {
-            let survivors: Vec<&[u8]> = refs
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != lost)
-                .map(|(_, p)| *p)
-                .collect();
-            let got = xor_recover(&survivors, &parity, want.len()).unwrap();
+            let data: Vec<Option<&[u8]>> =
+                (0..refs.len()).map(|i| (i != lost).then_some(refs[i])).collect();
+            let got = recover_r1(&code, &data, &parity, want.len());
             prop_assert_eq!(&got, want, "lost member {}", lost);
         }
     }
 
-    /// Recovery is independent of survivor order (reorder) and of the
-    /// deduplicated delivery set (duplicate): any permutation of the
-    /// survivors reconstructs the same bytes.
+    /// Recovery is independent of survivor arrival order (reorder) and
+    /// of duplicate deliveries: survivors are placed by packet index, so
+    /// any permutation of the arrivals, with a repeat, reconstructs the
+    /// same bytes.
     #[test]
     fn recovery_is_order_free(
         seed in 0u64..10_000,
@@ -80,26 +86,30 @@ proptest! {
             .map(|_| (0..rng.gen::<usize>() % 50).map(|_| rng.gen::<u8>()).collect())
             .collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let parity = xor_parity(&refs);
+        let code = RsCode::new(n, 1).unwrap();
+        let parity = code.parity(&refs).remove(0);
         let lost = seed as usize % n;
-        let mut survivors: Vec<&[u8]> = refs
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != lost)
-            .map(|(_, p)| *p)
-            .collect();
-        let in_order = xor_recover(&survivors, &parity, payloads[lost].len()).unwrap();
-        let shift = rot % survivors.len().max(1);
-        survivors.rotate_left(shift);
-        survivors.reverse();
-        let shuffled = xor_recover(&survivors, &parity, payloads[lost].len()).unwrap();
+        let recover_from = |arrivals: &[usize]| {
+            let mut data: Vec<Option<&[u8]>> = vec![None; n];
+            for &i in arrivals {
+                data[i] = Some(refs[i]);
+            }
+            recover_r1(&code, &data, &parity, payloads[lost].len())
+        };
+        let mut arrivals: Vec<usize> = (0..n).filter(|&i| i != lost).collect();
+        let in_order = recover_from(&arrivals);
+        let shift = rot % arrivals.len();
+        arrivals.rotate_left(shift);
+        arrivals.reverse();
+        arrivals.push(arrivals[0]);
+        let shuffled = recover_from(&arrivals);
         prop_assert_eq!(&in_order, &shuffled);
         prop_assert_eq!(&in_order, &payloads[lost]);
     }
 
     /// Every striped grouping recovers any one loss per group end to
     /// end: parity built from the group members, one member dropped per
-    /// group, XOR puts the exact bytes back.
+    /// group, the group's single parity puts the exact bytes back.
     #[test]
     fn striped_groups_recover_one_loss_each(
         seed in 0u64..10_000,
@@ -110,20 +120,19 @@ proptest! {
         let payloads: Vec<Vec<u8>> = (0..n)
             .map(|_| (0..10 + rng.gen::<usize>() % 30).map(|_| rng.gen::<u8>()).collect())
             .collect();
-        let fec = FecGroups::striped(n, k);
+        let sizes: Vec<u64> = payloads.iter().map(|p| p.len() as u64).collect();
+        let fec = FecGroups::new(&sizes, k, 1, false);
         for g in 0..fec.num_groups() {
             let members = fec.members(g);
             let refs: Vec<&[u8]> = members.iter().map(|&i| payloads[i].as_slice()).collect();
-            let parity = xor_parity(&refs);
+            let code = RsCode::new(refs.len(), 1).unwrap();
+            let parity = code.parity(&refs).remove(0);
             let lost_pos = seed as usize % members.len();
-            let survivors: Vec<&[u8]> = refs
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| p != lost_pos)
-                .map(|(_, x)| *x)
+            let data: Vec<Option<&[u8]>> = (0..refs.len())
+                .map(|p| (p != lost_pos).then_some(refs[p]))
                 .collect();
             let lost_idx = members[lost_pos];
-            let got = xor_recover(&survivors, &parity, payloads[lost_idx].len()).unwrap();
+            let got = recover_r1(&code, &data, &parity, payloads[lost_idx].len());
             prop_assert_eq!(&got, &payloads[lost_idx]);
         }
     }
@@ -208,40 +217,6 @@ proptest! {
         }
     }
 
-    /// r = 1 ≡ XOR at the byte level: the single-parity RS payload is
-    /// bit-identical to `xor_parity`, and its single-loss recovery is
-    /// bit-identical to `xor_recover` — the PR 5 wire format is a
-    /// special case of the RS code, not a parallel implementation.
-    #[test]
-    fn rs_r1_is_bit_identical_to_xor(
-        seed in 0u64..10_000,
-        sizes in proptest::collection::vec(0usize..60, 2..10),
-        lost in 0usize..10,
-    ) {
-        let mut rng = cachegen_tensor::rng::seeded(seed);
-        let payloads: Vec<Vec<u8>> = sizes
-            .iter()
-            .map(|&n| (0..n).map(|_| rng.gen::<u8>()).collect())
-            .collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let code = RsCode::new(refs.len(), 1).unwrap();
-        let parity = code.parity(&refs);
-        prop_assert_eq!(&parity[0], &xor_parity(&refs));
-        let lost = lost % refs.len();
-        let shards: Vec<Option<&[u8]>> =
-            (0..refs.len()).map(|i| (i != lost).then_some(refs[i])).collect();
-        let rs_got = code.recover(&shards, &[Some(&parity[0])]).unwrap();
-        let survivors: Vec<&[u8]> = (0..refs.len())
-            .filter(|&i| i != lost)
-            .map(|i| refs[i])
-            .collect();
-        let xor_got =
-            xor_recover(&survivors, &parity[0], parity[0].len()).unwrap();
-        prop_assert_eq!(rs_got.len(), 1);
-        prop_assert_eq!(rs_got[0].0, lost);
-        prop_assert_eq!(&rs_got[0].1, &xor_got);
-    }
-
     /// The interleaver burst-coverage bound: striping with stride
     /// `g = ceil(n / k)` puts at most `ceil(w / g)` of any `w`
     /// consecutive protected packets in one group, so a burst of up to
@@ -254,7 +229,7 @@ proptest! {
         r in 1usize..4,
         burst_start in 0usize..80,
     ) {
-        let fec = FecGroups::striped_rs(n, k, r);
+        let fec = FecGroups::new(&vec![100; n], k, r, false);
         let g = fec.num_groups();
         let burst_len = (g * r).min(n);
         let start = burst_start % n;
@@ -274,42 +249,28 @@ proptest! {
     }
 }
 
-/// r = 1 ≡ XOR at the *delivery* level: `FecOverhead::Rs {{ k, r: 1 }}`
-/// produces the identical wire order, fault draws, recovery set, and
-/// timeline as the PR 5 `FecOverhead::Uniform(k)` path on arbitrary
-/// schedules and faults.
+/// r = 1 ≡ XOR, pinned to stored bytes (the FEC wire-compat gate): the
+/// single-parity payload of five members of unequal length (one empty)
+/// is the byte-wise XOR written out below, at every parity depth, and
+/// each member lost alone comes back from it byte for byte.
 #[test]
-fn rs_r1_delivery_is_bit_identical_to_uniform_xor() {
-    use cachegen_streamer::FecOverhead;
-    for (seed, n, k, loss_pct) in [
-        (1u64, 12usize, 4usize, 10usize),
-        (2, 24, 6, 25),
-        (3, 7, 3, 40),
-        (4, 30, 5, 15),
-    ] {
-        let entries: Vec<(PacketId, u64)> = (0..n)
-            .map(|i| {
-                (
-                    PacketId {
-                        group: i / 4,
-                        layer: i % 4,
-                        is_k: i % 2 == 0,
-                    },
-                    400 + 31 * i as u64,
-                )
-            })
+fn rs_r1_is_bit_identical_to_xor() {
+    let members: [&[u8]; 5] = [b"CacheGen", b"KV", b"rANS v3", b"", b"GF(256) RS"];
+    let xor: [u8; 10] = [0x3D, 0x30, 0x05, 0x09, 0x70, 0x07, 0x7F, 0x4E, 0x52, 0x53];
+    for r in 1..=3 {
+        let code = RsCode::new(members.len(), r).unwrap();
+        assert_eq!(code.parity(&members)[0], xor, "r = {r}");
+    }
+    let code = RsCode::new(members.len(), 1).unwrap();
+    for (lost, want) in members.iter().enumerate() {
+        let data: Vec<Option<&[u8]>> = (0..members.len())
+            .map(|i| (i != lost).then_some(members[i]))
             .collect();
-        let sched = ChunkSchedule::priority_ordered(entries);
-        let sizes = sched.packet_sizes();
-        let xor_groups = FecOverhead::Uniform(k).groups_for(0, &sizes);
-        let rs_groups = FecOverhead::Rs { k, r: 1 }.groups_for(0, &sizes);
-        let mk_link = || {
-            Link::new(BandwidthTrace::constant(1e7), 0.01)
-                .with_packet_faults(PacketFaults::loss(loss_pct as f64 / 100.0), seed)
-        };
-        let xor = deliver_schedule(&sched, &mut mk_link(), 0.0, 1, 1, xor_groups.as_ref());
-        let rs = deliver_schedule(&sched, &mut mk_link(), 0.0, 1, 1, rs_groups.as_ref());
-        assert_eq!(xor, rs, "seed {seed}");
+        assert_eq!(
+            recover_r1(&code, &data, &xor, want.len()),
+            *want,
+            "member {lost}"
+        );
     }
 }
 

@@ -149,9 +149,9 @@ fn uniform_schedule() -> ChunkSchedule {
 /// same burst without FEC is 3 unrecoverable holes.
 #[test]
 fn interleaver_converts_bursts_into_single_per_group_losses() {
-    let fec_cfg = FecOverhead::Uniform(4);
+    let fec_cfg = FecOverhead::Fixed { k: 4, r: 1 };
     let sizes = uniform_schedule().packet_sizes();
-    let fec = fec_cfg.groups_for(0, &sizes).unwrap();
+    let fec = fec_cfg.groups_for_with_loss(0, &sizes, None).unwrap();
     // Structural guarantee: the stride is ceil(24/4) = 6, so any window
     // of up to 6 *consecutive* data packets touches 6 distinct parity
     // groups — a burst no longer than the stride is a single loss in
@@ -198,14 +198,14 @@ fn interleaver_converts_bursts_into_single_per_group_losses() {
 /// the stride is 4 groups, so the interleaver bound says any burst of up
 /// to `stride · r = 8` consecutive data drops costs every group at most
 /// `r = 2` losses — still solvable. The XOR shape with the same stride
-/// (`Uniform(6)`, `r = 1`) only covers bursts up to the stride itself;
+/// (`Fixed { k: 6, r: 1 }`) only covers bursts up to the stride itself;
 /// a 5-packet burst already double-hits a group it cannot solve.
 #[test]
 fn multi_parity_interleaver_covers_bursts_up_to_stride_times_r() {
-    let rs_cfg = FecOverhead::Rs { k: 6, r: 2 };
-    let xor_cfg = FecOverhead::Uniform(6);
+    let rs_cfg = FecOverhead::Fixed { k: 6, r: 2 };
+    let xor_cfg = FecOverhead::Fixed { k: 6, r: 1 };
     let sizes = uniform_schedule().packet_sizes();
-    let rs = rs_cfg.groups_for(0, &sizes).unwrap();
+    let rs = rs_cfg.groups_for_with_loss(0, &sizes, None).unwrap();
     // Structural guarantee: every window of stride · r = 8 consecutive
     // data packets loses at most r = 2 members of any parity group.
     let window = 8;
@@ -227,7 +227,9 @@ fn multi_parity_interleaver_covers_bursts_up_to_stride_times_r() {
     // per-seed loss patterns are not comparable across arms.
     let run = |seed: u64, cfg: &FecOverhead| {
         let sched = uniform_schedule();
-        let groups = cfg.groups_for(0, &sched.packet_sizes()).unwrap();
+        let groups = cfg
+            .groups_for_with_loss(0, &sched.packet_sizes(), None)
+            .unwrap();
         let mut link = Link::new(BandwidthTrace::constant(1e7), 0.01)
             .with_packet_faults(PacketFaults::burst(0.03, 5), seed);
         deliver_schedule(&sched, &mut link, 0.0, 1, 0, Some(&groups))
